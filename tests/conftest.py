@@ -1,11 +1,17 @@
-"""Shared fixtures: bundled fields and a seeded random-field factory."""
+"""Shared fixtures: bundled fields, a seeded random-field factory, and the
+Hypothesis profile (derandomized, so every run draws the same examples)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from linecover import DensityField, StreamRng, quadratic_density, uniform_density
+
+settings.register_profile("linecover", derandomize=True, deadline=None,
+                          max_examples=30, database=None)
+settings.load_profile("linecover")
 
 
 @pytest.fixture(scope="session")

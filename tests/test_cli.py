@@ -84,6 +84,18 @@ def test_simulate_writes_trace_and_summary(capsys, tmp_path):
     assert (tmp_path / "fig4_trace.csv").read_bytes() == first
 
 
+def test_simulate_static_many_agents_keeps_order(capsys, tmp_path):
+    # used to exit 2 at round 87 with "agent positions must be nondecreasing"
+    code, out, err = run_cli(capsys, [
+        "simulate", "--law", "static", "--density", "quadratic", "--init", "all-one",
+        "--n", "80", "--max-rounds", "100", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["rounds"] == 100
+    assert summary["stop_reason"] == "max_rounds"
+
+
 def test_simulate_dynamic_records_mass(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "simulate", "--law", "dynamic", "--density", "quadratic", "--n", "5",

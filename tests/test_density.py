@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linecover import (
     DensityField,
@@ -95,6 +97,37 @@ def test_round_trip_all_bundled_and_random(case, uniform_field, quadratic_field,
     x = np.sort(np.array(rng.uniforms(1000)))
     back = field.inverse_cdf(field.cdf(x))
     assert np.max(np.abs(back - x)) <= 1e-12
+
+
+seeds = st.integers(0, 2**32 - 1)
+units = st.floats(0.0, 1.0)
+
+
+@given(seeds, st.lists(units, min_size=1, max_size=40))
+def test_inverse_scalar_and_vector_agree(seed, fractions):
+    field = make_random_field(StreamRng(seed))
+    masses = field.total_mass * np.array(fractions)
+    vector = field.inverse_cdf(masses)
+    scalar = np.array([field.inverse_cdf(float(m)) for m in masses])
+    assert np.all(np.abs(vector - scalar) <= 4.0 * np.spacing(vector))
+
+
+@given(seeds, st.lists(units, min_size=1, max_size=40))
+def test_inverse_of_cdf_is_identity(seed, points):
+    field = make_random_field(StreamRng(seed))
+    x = np.array(points)
+    y = field.cdf(x)
+    assert np.max(np.abs(field.inverse_cdf(y) - x)) <= 1e-13
+    assert max(abs(field.inverse_cdf(float(m)) - p) for m, p in zip(y, x)) <= 1e-13
+
+
+@given(seeds)
+def test_inverse_returns_breakpoints_exactly(seed):
+    field = make_random_field(StreamRng(seed))
+    # F(b_j) as the field stores it: 0, the interior breakpoint masses, F(1)
+    masses = field._cum
+    assert np.array_equal(field.inverse_cdf(masses), field.breakpoints)
+    assert [field.inverse_cdf(float(m)) for m in masses] == field.breakpoints.tolist()
 
 
 def test_bounds_hold_at_random_points(random_field_factory):

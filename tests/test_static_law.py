@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linecover import (
     DensityField,
@@ -10,11 +12,16 @@ from linecover import (
     StreamRng,
     convergence_time,
     gap_vector,
+    initial_positions,
     optimal_configuration,
+    quadratic_density,
     run_static,
     static_step,
 )
+from linecover.harness import INIT_MODES
 from linecover.spectral import build_system
+
+from conftest import make_random_field
 
 
 def test_step_two_agents_by_hand(uniform_field):
@@ -58,6 +65,26 @@ def test_ordering_preserved_along_runs(random_field_factory):
         for _ in range(60):
             x = static_step(field, x)
             assert np.all(np.diff(x) >= 0.0)
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_ordering_holds_for_many_agents_near_full_mass(n):
+    # Neighbours near F(1) used to invert one ulp out of order (round 87 at
+    # n = 80, round 107 at n = 100) and the next round rejected the input.
+    trace = run_static(quadratic_density(), initial_positions("all-one", n),
+                       StopRule(tol=None, max_rounds=300))
+    assert trace.final_round == 300
+    for row in trace.rows:
+        assert np.all(np.diff(row.positions) >= 0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.sampled_from(INIT_MODES))
+def test_ordering_holds_on_random_fields(seed, n, mode):
+    field = make_random_field(StreamRng(seed))
+    x0 = initial_positions(mode, n, StreamRng(seed, n))
+    trace = run_static(field, x0, StopRule(tol=None, max_rounds=30))
+    for row in trace.rows:
+        assert np.all(np.diff(row.positions) >= 0.0)
 
 
 def test_gap_vector_by_hand(uniform_field):
