@@ -91,10 +91,7 @@ def _validate_scenario(s: dict) -> None:
     n_min = 2 if s["law"] == "static" else 3
     if s["positions"] is None and int(s["n"]) < n_min:
         raise DomainError(f"the {s['law']} law needs at least {n_min} agents")
-    if not float(s["tol"]) > 0.0:
-        raise DomainError("tol must be positive")
-    if int(s["max_rounds"]) < 1:
-        raise DomainError("max_rounds must be at least 1")
+    StopRule(tol=float(s["tol"]), max_rounds=int(s["max_rounds"]))  # validates both
 
 
 def _out_path(args, name: str) -> Path:
@@ -155,9 +152,8 @@ def cmd_simulate(args) -> int:
     x0 = _scenario_initial_positions(scenario, field)
     law = scenario["law"]
     big_u = None if scenario["U"] is None else int(scenario["U"])
-    persist = (big_u if big_u is not None else len(x0)) if law == "dynamic" else 1
-    stop = StopRule(tol=float(scenario["tol"]),
-                    max_rounds=int(scenario["max_rounds"]), persist=persist)
+    stop = harness.stop_rule(law, len(x0), float(scenario["tol"]),
+                             int(scenario["max_rounds"]), big_u)
     trace = harness.run_one(law, field, x0, stop, big_u=big_u,
                             variant=scenario["variant"],
                             movement_rule=scenario["rule"],
@@ -325,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-u", type=int, required=True, dest="big_u")
     p.add_argument("--variant", choices=list(lifted_chain.VARIANTS),
                    default="figure2")
-    p.add_argument("--rule", choices=list(lifted_chain.MOVEMENT_RULES),
-                   default="pair")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--prefix", default="chain")

@@ -173,7 +173,8 @@ class DensityField:
         acc = np.zeros_like(xv) + rows[:, -1]
         for k in range(rows.shape[1] - 2, -1, -1):
             acc = acc * xv + rows[:, k]
-        out = self._cum[j] + acc - self._anti_at_left[j]
+        # bracketed so that x = b_j gives exactly the stored mass F(b_j)
+        out = self._cum[j] + (acc - self._anti_at_left[j])
         return float(out[0]) if scalar else out
 
     def _check_mass(self, m) -> np.ndarray:
@@ -261,7 +262,7 @@ class DensityField:
                 raise DomainError("points must lie in [0, 1]")
             return self._cum_list[-1]
         j = bisect.bisect_right(self._bp_list, x) - 1
-        return self._cum_list[j] + _poly_eval(self._anti_list[j], x) - self._anti_left_list[j]
+        return self._cum_list[j] + (_poly_eval(self._anti_list[j], x) - self._anti_left_list[j])
 
     def _inverse_scalar(self, m: float) -> float:
         tol = _X_SLACK * max(1.0, self.total_mass)

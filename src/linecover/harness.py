@@ -9,11 +9,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityField, check_positions
+from .density import DensityField
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
-from .static_law import run_static
+from .static_law import gap_vector, run_static
 from .trace import ExperimentTrace, StopRule
 
 INIT_MODES = ("random-uniform-order-statistics", "all-one", "all-zero-perturbed")
@@ -30,10 +30,7 @@ def optimality_residual(field: DensityField, positions) -> float:
     Zero exactly at the optimal configuration, where the doubled boundary
     gaps and the interior gaps are all equal.
     """
-    x = check_positions(positions, n_min=1)
-    y = field.cdf(x)
-    gaps = np.concatenate([[2.0 * y[0]], np.diff(y),
-                           [2.0 * (field.total_mass - y[-1])]])
+    gaps = gap_vector(field, positions)
     return float(np.max(np.abs(gaps - gaps.mean())))
 
 
@@ -145,13 +142,24 @@ def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
     raise DomainError(f"unknown law {law!r}")
 
 
+def stop_rule(law: str, n: int, tol: float | None, max_rounds: int,
+              big_u: int | None = None) -> StopRule:
+    """The stop rule of one run of either law.
+
+    The dynamic law moves one agent per round, so its tolerance must hold
+    for a full token cycle of U rounds (U defaults to n); the static law
+    moves every agent every round and needs it to hold once.
+    """
+    persist = (big_u if big_u is not None else n) if law == "dynamic" else 1
+    return StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+
+
 def _sweep_cell(args) -> tuple[int, int, int]:
     (law, field, n, run, init_mode, seed, tol, max_rounds,
      big_u, variant, movement_rule) = args
     rng = StreamRng(seed, n, run)
     x0 = initial_positions(init_mode, n, rng, law=law)
-    persist = (big_u if big_u is not None else n) if law == "dynamic" else 1
-    stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+    stop = stop_rule(law, n, tol, max_rounds, big_u)
     trace = run_one(law, field, x0, stop, big_u=big_u, variant=variant,
                     movement_rule=movement_rule)
     rounds, converged = convergence_time(trace, tol)

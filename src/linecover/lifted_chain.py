@@ -44,6 +44,7 @@ VARIANTS = ("figure2", "uniformized")
 MOVEMENT_RULES = ("pair", "split")
 
 _ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
+_STATIONARY_TOL = 1e-12   # l1 residual allowed for the closed-form pi
 
 
 @dataclass(frozen=True)
@@ -147,17 +148,22 @@ def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain
     return LiftedChain(n=n, big_u=big_u, variant=variant, K=K)
 
 
-def stationary(chain: LiftedChain, tol: float = 1e-15,
-               max_iterations: int = 2_000_000) -> np.ndarray:
-    """Stationary probability vector, by power iteration on pi <- pi K."""
-    pi = np.full(chain.size, 1.0 / chain.size)
-    for _ in range(max_iterations):
-        nxt = pi @ chain.K
-        nxt /= nxt.sum()
-        if float(np.abs(nxt - pi).sum()) <= tol:
-            return nxt
-        pi = nxt
-    raise NumericError("power iteration for the stationary vector did not converge")
+def stationary(chain: LiftedChain) -> np.ndarray:
+    """Stationary probability vector, in closed form.
+
+    Uniform for ``uniformized``; for ``figure2`` the boundary states 1, n,
+    1' and n' carry half the mass of each interior state. The closed form
+    is verified against the balance equations pi K = pi.
+    """
+    n = chain.n
+    pi = np.ones(chain.size)
+    if chain.variant == "figure2":
+        pi[[0, n - 1, n, 2 * n - 1]] = 0.5
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ chain.K - pi).sum())
+    if residual > _STATIONARY_TOL:
+        raise NumericError(f"stationary vector fails pi K = pi (residual {residual:.2e})")
+    return pi
 
 
 def mixing_profile(chain: LiftedChain, eps: float,
@@ -228,12 +234,19 @@ def init_z(field: DensityField, positions) -> np.ndarray:
 def initialize_state(field: DensityField, positions, *, big_u: int | None = None,
                      variant: str = "uniformized",
                      movement_rule: str = "split") -> DynamicState:
-    """Build a fresh run state; U defaults to the true agent count."""
+    """Build a fresh run state; U defaults to the true agent count.
+
+    U < n is rejected: the token visits agents 1..U only, so agents beyond
+    U would never move on their own and the run could not converge.
+    """
     if movement_rule not in MOVEMENT_RULES:
         raise DomainError(f"movement rule must be one of {MOVEMENT_RULES}")
     x = check_positions(positions, n_min=3)
     n = x.size
-    chain = build_chain(n, big_u if big_u is not None else n, variant)
+    big_u = n if big_u is None else big_u
+    if big_u < n:
+        raise DomainError(f"the round-trip estimate U = {big_u} is below n = {n}")
+    chain = build_chain(n, big_u, variant)
     return DynamicState(chain=chain, z=init_z(field, x), positions=x.copy(),
                         movement_rule=movement_rule)
 

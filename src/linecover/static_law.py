@@ -42,7 +42,7 @@ def static_step(field: DensityField, positions) -> np.ndarray:
 
 def gap_vector(field: DensityField, positions) -> np.ndarray:
     """Boundary-doubled mass gaps (n+1 entries) of a configuration."""
-    x = check_positions(positions, n_min=2)
+    x = check_positions(positions, n_min=1)
     y = field.cdf(x)
     d = np.empty(x.size + 1)
     d[0] = 2.0 * y[0]

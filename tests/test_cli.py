@@ -113,6 +113,17 @@ def test_simulate_dynamic_records_mass(capsys, tmp_path):
     assert max(abs(z - total) for z in zsums) <= 1e-12 * total
 
 
+def test_simulate_dynamic_rejects_estimate_below_n(capsys, tmp_path):
+    # agents 9 and 10 never get the token; this used to run to max_rounds
+    code, _, err = run_cli(capsys, [
+        "simulate", "--law", "dynamic", "--density", "quadratic", "--init", "random",
+        "--n", "10", "--big-u", "8", "--max-rounds", "2000", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    assert not (tmp_path / "simulate_trace.csv").exists()
+
+
 def test_simulate_explicit_positions(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "simulate", "--law", "static", "--density", "uniform",
@@ -137,6 +148,14 @@ def test_scenario_file_round_trip(capsys, tmp_path):
     merged = dict(scenario)
     merged["positions"] = None
     assert canonical_scenario_json(parsed) == canonical_scenario_json(merged)
+
+
+@pytest.mark.parametrize("flag", ["--tol=0", "--tol=-1e-3", "--max-rounds=0"])
+def test_bad_stop_values_are_usage_errors(capsys, tmp_path, flag):
+    code, _, err = run_cli(capsys, ["simulate", "--n", "4", flag,
+                                    "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_scenario_parse_errors(capsys, tmp_path):
@@ -199,6 +218,13 @@ def test_chain_outputs(capsys, tmp_path):
         pi_rows = list(csv.reader(handle))
     pis = [float(row[1]) for row in pi_rows[1:]]
     assert pis == pytest.approx([1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4, 1 / 8], abs=1e-12)
+
+
+def test_chain_takes_no_movement_rule(capsys, tmp_path):
+    # the chain diagnostics do not depend on the movement rule
+    code, _, _ = run_cli(capsys, ["chain", "--n", "3", "--big-u", "3", "--rule", "pair",
+                                  "--out-dir", str(tmp_path)])
+    assert code == 2
 
 
 def test_out_dir_env_default(capsys, tmp_path, monkeypatch):

@@ -126,6 +126,9 @@ def test_inverse_returns_breakpoints_exactly(seed):
     field = make_random_field(StreamRng(seed))
     # F(b_j) as the field stores it: 0, the interior breakpoint masses, F(1)
     masses = field._cum
+    assert np.array_equal(field.cdf(field.breakpoints), masses)
+    assert [field._cdf_scalar(float(b)) for b in field.breakpoints] == masses.tolist()
+    assert field.cdf(1.0) == field.total_mass
     assert np.array_equal(field.inverse_cdf(masses), field.breakpoints)
     assert [field.inverse_cdf(float(m)) for m in masses] == field.breakpoints.tolist()
 

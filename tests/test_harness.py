@@ -18,6 +18,7 @@ from linecover import (
     run_one,
     run_static,
     static_round_budget,
+    stop_rule,
     sweep,
 )
 from linecover.density import DensityField
@@ -41,6 +42,14 @@ def test_residual_scales_with_density(uniform_field):
     scaled = DensityField([0.0, 1.0], [[4.5]], name="scaled")
     base = optimality_residual(uniform_field, [0.2, 0.6])
     assert optimality_residual(scaled, [0.2, 0.6]) == pytest.approx(4.5 * base, rel=1e-13)
+
+
+def test_stop_rule_persists_one_token_cycle_for_dynamic_law():
+    assert stop_rule("static", 9, 1e-4, 50) == StopRule(tol=1e-4, max_rounds=50, persist=1)
+    assert stop_rule("static", 9, 1e-4, 50, big_u=12).persist == 1
+    assert stop_rule("dynamic", 9, 1e-4, 50).persist == 9
+    assert stop_rule("dynamic", 9, None, 50, big_u=12) == StopRule(tol=None, max_rounds=50,
+                                                                   persist=12)
 
 
 def test_convergence_time_at_optimum(uniform_field):

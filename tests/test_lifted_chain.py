@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linecover import (
     DomainError,
+    LiftedChain,
+    NumericError,
     StopRule,
     StreamRng,
     add_agent,
@@ -12,6 +16,7 @@ from linecover import (
     chain_step,
     coverage,
     init_z,
+    initial_positions,
     initialize_state,
     mixing_profile,
     movement_step,
@@ -24,6 +29,10 @@ from linecover import (
     step_round,
     token_index,
 )
+from linecover.harness import INIT_MODES
+from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
+
+from conftest import make_random_field
 
 
 def exact_stationary(n: int, variant: str) -> np.ndarray:
@@ -124,8 +133,8 @@ def test_build_chain_preconditions():
 
 def test_stationary_matches_balance_solution():
     for variant in ("figure2", "uniformized"):
-        for n in (3, 4, 9, 17):
-            chain = build_chain(n, n, variant)
+        for n, U in ((3, 3), (4, 4), (9, 9), (17, 17), (3, 7), (8, 3), (20, 100)):
+            chain = build_chain(n, U, variant)
             pi = stationary(chain)
             exact = exact_stationary(n, variant)
             assert float(np.abs(pi @ chain.K - pi).sum()) <= 1e-13
@@ -136,6 +145,13 @@ def test_stationary_matches_balance_solution():
 def test_stationary_figure2_n3_by_hand():
     pi = stationary(build_chain(3, 3, "figure2"))
     assert pi == pytest.approx([1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4, 1 / 8], abs=1e-13)
+
+
+def test_stationary_checks_the_balance_equations():
+    # a figure2 label on a uniformized matrix: the closed form does not fit
+    K = build_chain(5, 5, "uniformized").K
+    with pytest.raises(NumericError):
+        stationary(LiftedChain(n=5, big_u=5, variant="figure2", K=K))
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +306,30 @@ def test_trace_records_conserved_mass_and_order(quadratic_field):
 def test_run_dynamic_rejects_two_agents(uniform_field):
     with pytest.raises(DomainError):
         run_dynamic(uniform_field, [0.2, 0.8], StopRule())
+
+
+def test_initialize_state_rejects_estimate_below_n(uniform_field):
+    # with U < n the token never reaches agents U+1..n
+    x0 = np.linspace(0.05, 0.95, 10)
+    with pytest.raises(DomainError):
+        initialize_state(uniform_field, x0, big_u=8)
+    with pytest.raises(DomainError):
+        run_dynamic(uniform_field, x0, StopRule(), big_u=9)
+    assert initialize_state(uniform_field, x0, big_u=10).chain.big_u == 10
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 120), st.sampled_from(INIT_MODES),
+       st.sampled_from(VARIANTS), st.sampled_from(MOVEMENT_RULES))
+def test_dynamic_runs_keep_order_and_mass_on_random_fields(seed, n, init_mode,
+                                                           variant, rule):
+    field = make_random_field(StreamRng(seed))
+    x0 = initial_positions(init_mode, n, StreamRng(seed, n, 0), law="dynamic")
+    trace = run_dynamic(field, x0, StopRule(tol=None, max_rounds=3 * n),
+                        variant=variant, movement_rule=rule)
+    total = field.total_mass
+    for row in trace.rows:
+        assert np.all(np.diff(row.positions) >= 0.0)
+        assert abs(row.zsum - total) <= 1e-12 * max(1.0, total)
 
 
 # ----------------------------------------------------------------------
