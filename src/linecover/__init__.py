@@ -40,6 +40,7 @@ from .lifted_chain import (
     run_dynamic,
     simulate_dynamic,
     spreading_min,
+    stationarity_residual,
     stationary,
     step_round,
     token_index,

@@ -228,7 +228,7 @@ def cmd_spectral(args) -> int:
 def cmd_chain(args) -> int:
     chain = lifted_chain.build_chain(args.n, args.big_u, args.variant)
     pi = lifted_chain.stationary(chain)
-    residual = float(np.abs(pi @ chain.K - pi).sum())
+    residual = lifted_chain.stationarity_residual(chain, pi)
     t_mix, vcurve = lifted_chain.mixing_profile(chain, args.eps)
     spread = lifted_chain.spreading_min(chain)
 

@@ -10,17 +10,25 @@ the mirrored track, which jumps the cycle position by an even amount; U is
 the agents' estimate of n. The guided motion mixes in O(n) rounds instead
 of the O(n^2) of a diffusive walk, which is the whole point of the lift.
 
+Both edge sets are permutations of the 2n states: every state has exactly
+one continuing and one switching in-edge (the switching edges at 1' and n
+are self-loops, where the mirrored jump lands on the node itself). The
+chain is therefore stored as those two in-edge permutations, and a round
+z K is one gather and a two-term weighted sum, O(n), instead of a dense
+2n x 2n product. Rows sum to one and the support is irreducible (the
+continuing edges alone form the 2n-cycle) by construction.
+
 Two variants are provided:
 
-* ``figure2``: interior nodes carry an extra self-loop of probability 1/2
-  (continuing 1/2 (1 - 1/U), switching 1/(2U)); boundary nodes 1, 1', n, n'
-  have no half self-loop (continuing 1 - 1/U, switching 1/U, where the
-  switching edges at 1' and n are self-loops). Its stationary vector puts
-  half as much mass on the four boundary states as on each interior state.
-* ``uniformized``: no half self-loops anywhere; every node continues with
-  1 - 1/U and switches with 1/U. Its stationary vector is exactly uniform,
-  so the mass pair sums agents read off in the limit reproduce the balanced
-  optimal configuration.
+* ``uniformized``: every node continues with 1 - 1/U and switches with
+  1/U. Its stationary vector is exactly uniform, so the mass pair sums
+  agents read off in the limit reproduce the balanced optimal
+  configuration.
+* ``figure2``: the same chain made lazy by 1/2 at the 2n - 4 interior
+  nodes (self-loop 1/2, continuing 1/2 (1 - 1/U), switching 1/(2U));
+  the boundary nodes 1, 1', n, n' are as in ``uniformized``. Its
+  stationary vector puts half as much mass on the four boundary states as
+  on each interior state.
 
 Movement is token-passing: at round t agent j = ((t-1) mod U) + 1 (if
 j <= n) moves so that the mass between its left neighbor and itself equals
@@ -33,6 +41,7 @@ point under the uniformized chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,16 +58,44 @@ _STATIONARY_TOL = 1e-12   # l1 residual allowed for the closed-form pi
 
 @dataclass(frozen=True)
 class LiftedChain:
-    """Immutable 2n-state transition matrix with its parameters."""
+    """Immutable 2n-state chain: parameters and the two in-edge permutations.
+
+    State d receives its continuing edge from ``sources[0, d]`` and its
+    switching edge from ``sources[1, d]``; states 0..n-1 are the unprimed
+    agents 1..n and states n..2n-1 the primed ones. ``figure2`` uses the
+    same edges made lazy at the interior states.
+    """
 
     n: int
     big_u: int
     variant: str
-    K: np.ndarray
+    sources: np.ndarray
 
     @property
     def size(self) -> int:
         return 2 * self.n
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Continuing and switching probabilities, 1 - 1/U and 1/U."""
+        switch = 1.0 / self.big_u
+        return np.array([1.0 - switch, switch])
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """z K along the last axis of z, in O(n) per row."""
+        if self.variant == "uniformized":
+            return np.dot(self.rates, z.take(self.sources, axis=-1))
+        # figure2: only the moving share m leaves a state; interior states
+        # keep half their mass, the four boundary states none
+        m = 0.5 * z
+        ends = [0, self.n - 1, self.n, 2 * self.n - 1]
+        m[..., ends] = z[..., ends]
+        return np.dot(self.rates, m.take(self.sources, axis=-1)) + (z - m)
+
+    @property
+    def K(self) -> np.ndarray:
+        """Dense transition matrix, built on demand (O(n^2) memory)."""
+        return self.apply(np.eye(self.size))
 
 
 @dataclass
@@ -84,22 +121,6 @@ class DynamicState:
 # chain construction and diagnostics
 # ----------------------------------------------------------------------
 
-def _strongly_connected(K: np.ndarray) -> bool:
-    support = K > 0.0
-    m = K.shape[0]
-    for adj in (support, support.T):
-        seen = np.zeros(m, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = adj[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = np.nonzero(nxt)[0].tolist()
-        if not seen.all():
-            return False
-    return True
-
-
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
     if n < 3:
@@ -108,44 +129,18 @@ def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
+    sources = np.array([
+        # continuing: 1' -> 1 -> 2 -> ... -> n -> n' -> (n-1)' -> ... -> 1'
+        np.r_[n, 0:n - 1, n + 1:2 * n, n - 1],
+        # switching: (i+1)' -> i and (i-1) -> i', self-loops at n and 1'
+        np.r_[n + 1:2 * n, n - 1, n, 0:n - 1],
+    ])
+    return LiftedChain(n=n, big_u=big_u, variant=variant, sources=sources)
 
-    u = float(big_u)
-    cont = 1.0 - 1.0 / u
-    switch = 1.0 / u
-    up = lambda i: i - 1          # 1-based agent -> unprimed state index
-    pr = lambda i: n + i - 1      # 1-based agent -> primed state index
 
-    K = np.zeros((2 * n, 2 * n))
-    for i in range(2, n):
-        if variant == "figure2":
-            K[up(i), up(i)] = 0.5
-            K[up(i), up(i + 1)] = 0.5 * cont
-            K[up(i), pr(i + 1)] = 0.5 * switch
-            K[pr(i), pr(i)] = 0.5
-            K[pr(i), pr(i - 1)] = 0.5 * cont
-            K[pr(i), up(i - 1)] = 0.5 * switch
-        else:
-            K[up(i), up(i + 1)] = cont
-            K[up(i), pr(i + 1)] = switch
-            K[pr(i), pr(i - 1)] = cont
-            K[pr(i), up(i - 1)] = switch
-    # Boundary nodes are identical in both variants; the switching edges at
-    # 1' and n are self-loops (the mirrored jump lands on the node itself).
-    K[up(1), up(2)] = cont
-    K[up(1), pr(2)] = switch
-    K[pr(1), up(1)] = cont
-    K[pr(1), pr(1)] = switch
-    K[up(n), pr(n)] = cont
-    K[up(n), up(n)] = switch
-    K[pr(n), pr(n - 1)] = cont
-    K[pr(n), up(n - 1)] = switch
-
-    row_err = float(np.max(np.abs(K.sum(axis=1) - 1.0)))
-    if row_err > 1e-14:
-        raise NumericError(f"rows of K do not sum to 1 (max error {row_err:.2e})")
-    if not _strongly_connected(K):
-        raise NumericError("chain support graph is not irreducible")
-    return LiftedChain(n=n, big_u=big_u, variant=variant, K=K)
+def stationarity_residual(chain: LiftedChain, pi: np.ndarray) -> float:
+    """The l1 balance residual ||pi K - pi||_1."""
+    return float(np.abs(chain.apply(pi) - pi).sum())
 
 
 def stationary(chain: LiftedChain) -> np.ndarray:
@@ -160,7 +155,7 @@ def stationary(chain: LiftedChain) -> np.ndarray:
     if chain.variant == "figure2":
         pi[[0, n - 1, n, 2 * n - 1]] = 0.5
     pi /= pi.sum()
-    residual = float(np.abs(pi @ chain.K - pi).sum())
+    residual = stationarity_residual(chain, pi)
     if residual > _STATIONARY_TOL:
         raise NumericError(f"stationary vector fails pi K = pi (residual {residual:.2e})")
     return pi
@@ -179,11 +174,12 @@ def mixing_profile(chain: LiftedChain, eps: float,
     pi = stationary(chain)
     window = chain.size
     cap = max_rounds if max_rounds is not None else 2000 + 600 * chain.n
+    K = chain.K
     powers = np.eye(chain.size)
     vcurve = [float(np.max(np.abs(powers - pi).sum(axis=1)))]
     streak_start, streak = 0, (1 if vcurve[0] < eps else 0)
     for t in range(1, cap + 1):
-        powers = powers @ chain.K
+        powers = powers @ K
         v = float(np.max(np.abs(powers - pi).sum(axis=1)))
         vcurve.append(v)
         if v < eps:
@@ -209,8 +205,9 @@ def spreading_min(chain: LiftedChain) -> float:
 def init_z(field: DensityField, positions) -> np.ndarray:
     """Initial mass variables: half of each agent's cell mass, mirrored.
 
-    Cell boundaries sit at the 1-medians of adjacent agents (outer
-    boundaries 0 and 1); z_i(0) = z_i'(0) = half the cell mass, so the
+    Cell boundaries sit at the 1-medians of adjacent agents, whose masses
+    are the midpoints (y_i + y_{i+1})/2 of y = F(x); the outer boundaries
+    have masses 0 and F(1). z_i(0) = z_i'(0) = half the cell mass, so the
     variables sum to F(1) exactly up to roundoff. Initial positions must be
     distinct for the cells to be well defined; later coincidences created
     by pushing are fine because initialization runs once.
@@ -218,14 +215,11 @@ def init_z(field: DensityField, positions) -> np.ndarray:
     x = check_positions(positions, n_min=3)
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("initial positions must be distinct for cell setup")
-    n = x.size
-    bounds = np.empty(n + 1)
-    bounds[0], bounds[-1] = 0.0, 1.0
-    for i in range(n - 1):
-        bounds[i + 1] = field.alpha_median(x[i], x[i + 1], 1.0)
-    half = np.diff(field.cdf(bounds)) / 2.0
-    z = np.concatenate([half, half])
+    y = field.cdf(x)
     total = field.total_mass
+    bounds = np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [total]])
+    half = np.diff(bounds) / 2.0
+    z = np.concatenate([half, half])
     if abs(float(z.sum()) - total) > 1e-12 * max(1.0, total):
         raise NumericError("initial mass variables do not sum to F(1)")
     return z
@@ -253,7 +247,7 @@ def initialize_state(field: DensityField, positions, *, big_u: int | None = None
 
 def chain_step(state: DynamicState) -> DynamicState:
     """Advance the mass variables one communication round: z <- z K."""
-    state.z = state.z @ state.chain.K
+    state.z = state.chain.apply(state.z)
     state.round_index += 1
     return state
 

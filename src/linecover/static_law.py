@@ -18,15 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .density import DensityField, check_positions, coverage, optimal_configuration
-from .errors import DomainError
 from .trace import ExperimentTrace, StopRule, TraceRow
 
 
 def static_step(field: DensityField, positions) -> np.ndarray:
     """One simultaneous median update, evaluated at the old positions."""
     x = check_positions(positions, n_min=2)
-    if x.size < 2:
-        raise DomainError("the static law needs at least 2 agents")
     y = field.cdf(x)
     targets = np.empty_like(y)
     targets[0] = y[1] / 3.0

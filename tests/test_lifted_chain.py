@@ -1,5 +1,8 @@
 """Lifted-chain law: construction, stationarity, movement, churn, mixing."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from linecover import (
     DomainError,
-    LiftedChain,
+    DynamicState,
     NumericError,
     StopRule,
     StreamRng,
@@ -45,6 +48,40 @@ def exact_stationary(n: int, variant: str) -> np.ndarray:
     return pi
 
 
+def reference_K(n: int, big_u: int, variant: str) -> np.ndarray:
+    """The chain's dense matrix, entry by entry as the edges are described."""
+    u = float(big_u)
+    cont = 1.0 - 1.0 / u
+    switch = 1.0 / u
+    up = lambda i: i - 1          # 1-based agent -> unprimed state index
+    pr = lambda i: n + i - 1      # 1-based agent -> primed state index
+
+    K = np.zeros((2 * n, 2 * n))
+    for i in range(2, n):
+        if variant == "figure2":
+            K[up(i), up(i)] = 0.5
+            K[up(i), up(i + 1)] = 0.5 * cont
+            K[up(i), pr(i + 1)] = 0.5 * switch
+            K[pr(i), pr(i)] = 0.5
+            K[pr(i), pr(i - 1)] = 0.5 * cont
+            K[pr(i), up(i - 1)] = 0.5 * switch
+        else:
+            K[up(i), up(i + 1)] = cont
+            K[up(i), pr(i + 1)] = switch
+            K[pr(i), pr(i - 1)] = cont
+            K[pr(i), up(i - 1)] = switch
+    # boundary nodes; the switching edges at 1' and n are self-loops
+    K[up(1), up(2)] = cont
+    K[up(1), pr(2)] = switch
+    K[pr(1), up(1)] = cont
+    K[pr(1), pr(1)] = switch
+    K[up(n), pr(n)] = cont
+    K[up(n), up(n)] = switch
+    K[pr(n), pr(n - 1)] = cont
+    K[pr(n), up(n - 1)] = switch
+    return K
+
+
 # ----------------------------------------------------------------------
 # initialization
 # ----------------------------------------------------------------------
@@ -77,6 +114,15 @@ def test_init_z_sums_to_total_mass(random_field_factory):
     z = init_z(field, x)
     assert float(z.sum()) == pytest.approx(field.total_mass, rel=1e-12)
     assert np.all(z >= 0.0)
+
+
+def test_init_z_cells_end_at_one_medians(random_field_factory):
+    # the mass-coordinate cells match cells bounded by alpha_median(., ., 1)
+    field = random_field_factory(StreamRng(303))
+    x = np.sort(np.array(StreamRng(304).uniforms(9)))
+    medians = [field.alpha_median(a, b, 1.0) for a, b in zip(x[:-1], x[1:])]
+    cells = np.diff(field.cdf(np.array([0.0, *medians, 1.0])))
+    assert np.max(np.abs(init_z(field, x)[:9] - cells / 2.0)) <= 1e-15
 
 
 def test_init_z_rejects_coincident_positions(uniform_field):
@@ -122,6 +168,47 @@ def test_rows_stochastic_all_variants():
             assert np.all(K >= 0.0)
 
 
+def test_dense_K_matches_entrywise_reference():
+    for variant in VARIANTS:
+        for n in range(3, 41):
+            for U in sorted({3, 7, n, 2 * n, 100}):
+                chain = build_chain(n, U, variant)
+                K = chain.K
+                assert np.array_equal(K, reference_K(n, U, variant))
+                assert K.flags.c_contiguous
+                for src in chain.sources:
+                    assert np.array_equal(np.sort(src), np.arange(2 * n))
+
+
+@given(st.integers(3, 200), st.integers(3, 400), st.sampled_from(VARIANTS),
+       st.integers(0, 2**32 - 1))
+def test_chain_step_matches_dense_product(n, big_u, variant, seed):
+    chain = build_chain(n, big_u, variant)
+    z = np.random.default_rng(seed).random(2 * n)
+    state = DynamicState(chain=chain, z=z.copy(), positions=np.zeros(n))
+    chain_step(state)
+    assert np.all(np.abs(state.z - z @ chain.K) <= 4 * np.spacing(z.max()))
+    assert abs(state.zsum - float(z.sum())) <= 4 * n * np.finfo(float).eps * float(z.sum())
+
+
+def test_dynamic_rounds_and_churn_stay_linear_in_memory(quadratic_field):
+    # a dense 2n x 2n chain would take 64 MB here
+    n = 2000
+    x0 = (np.arange(n) + 0.5) / n
+    tracemalloc.start()
+    try:
+        state = initialize_state(quadratic_field, x0)
+        for _ in range(2 * n):
+            step_round(quadratic_field, state)
+        add_agent(state, 0.5)
+        remove_agent(state, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.n == n
+    assert peak < 2 * 2**20
+
+
 def test_build_chain_preconditions():
     with pytest.raises(DomainError):
         build_chain(2, 5, "figure2")
@@ -148,10 +235,12 @@ def test_stationary_figure2_n3_by_hand():
 
 
 def test_stationary_checks_the_balance_equations():
-    # a figure2 label on a uniformized matrix: the closed form does not fit
-    K = build_chain(5, 5, "uniformized").K
+    # a figure2 label on uniformized dynamics: the closed form does not fit
+    uniformized = build_chain(5, 5, "uniformized")
+    mislabelled = SimpleNamespace(n=5, size=10, variant="figure2",
+                                  apply=uniformized.apply)
     with pytest.raises(NumericError):
-        stationary(LiftedChain(n=5, big_u=5, variant="figure2", K=K))
+        stationary(mislabelled)
 
 
 # ----------------------------------------------------------------------
