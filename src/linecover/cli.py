@@ -100,26 +100,27 @@ def _out_path(args, name: str) -> Path:
     return root / name
 
 
-def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
-    n = len(trace.rows[0].positions)
-    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """One header line, then one line per row of already formatted cells."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in trace.rows:
-            record = [str(row.t)] + [_fmt(x) for x in row.positions]
-            record += [_fmt(row.phi), _fmt(row.residual_sq),
-                       "" if row.zsum is None else _fmt(row.zsum)]
-            writer.writerow(record)
+        writer.writerows(rows)
+
+
+def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
+    n = len(trace.rows[0].positions)
+    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
+    write_csv(path, header, (
+        [str(row.t)] + [_fmt(x) for x in row.positions]
+        + [_fmt(row.phi), _fmt(row.residual_sq), "" if row.zsum is None else _fmt(row.zsum)]
+        for row in trace.rows))
 
 
 def write_sweep_csv(path: Path, table: harness.SweepTable) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "mean_rounds", "std_rounds", "runs"])
-        for row in table.rows:
-            writer.writerow([str(row.n), _fmt(row.mean_rounds),
-                             _fmt(row.std_rounds), str(row.runs)])
+    write_csv(path, ["n", "mean_rounds", "std_rounds", "runs"], (
+        [str(row.n), _fmt(row.mean_rounds), _fmt(row.std_rounds), str(row.runs)]
+        for row in table.rows))
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +133,8 @@ def cmd_optimal(args) -> int:
     print(json.dumps({
         "density": field.name,
         "n": args.n,
-        "positions": [float(_fmt(x)) for x in positions],
-        "phi_star": float(_fmt(phi_star)),
+        "positions": [float(x) for x in positions],
+        "phi_star": float(phi_star),
     }))
     return EXIT_OK
 
@@ -156,8 +157,7 @@ def cmd_simulate(args) -> int:
                              int(scenario["max_rounds"]), big_u)
     trace = harness.run_one(law, field, x0, stop, big_u=big_u,
                             variant=scenario["variant"],
-                            movement_rule=scenario["rule"],
-                            metadata={"seed": int(scenario["seed"])})
+                            movement_rule=scenario["rule"])
     rounds, converged = harness.convergence_time(trace, float(scenario["tol"]))
 
     trace_path = _out_path(args, f"{args.prefix}_trace.csv")
@@ -168,9 +168,9 @@ def cmd_simulate(args) -> int:
         "rounds": trace.final_round,
         "convergence_rounds": rounds,
         "converged": converged,
-        "final_phi": float(_fmt(trace.final_phi)),
-        "phi_star": float(_fmt(trace.metadata["phi_star"])),
-        "final_residual_sq": float(_fmt(trace.rows[-1].residual_sq)),
+        "final_phi": float(trace.final_phi),
+        "phi_star": float(trace.metadata["phi_star"]),
+        "final_residual_sq": float(trace.rows[-1].residual_sq),
         "trace_csv": str(trace_path),
     }
     summary_path = _out_path(args, f"{args.prefix}_summary.json")
@@ -196,9 +196,9 @@ def cmd_sweep(args) -> int:
         "scenario": json.loads(canonical_scenario_json(scenario)),
         "n_list": n_list,
         "runs": args.runs,
-        "fit": {"slope": float(_fmt(table.fit.slope)),
-                "intercept": float(_fmt(table.fit.intercept)),
-                "r_squared": float(_fmt(table.fit.r_squared))},
+        "fit": {"slope": float(table.fit.slope),
+                "intercept": float(table.fit.intercept),
+                "r_squared": float(table.fit.r_squared)},
         "sweep_csv": str(sweep_path),
     }
     summary_path = _out_path(args, f"{args.prefix}_summary.json")
@@ -211,16 +211,15 @@ def cmd_spectral(args) -> int:
     k_lo, k_hi = args.k_min, args.k_max
     if k_lo < 3 or k_hi < k_lo:
         raise DomainError("need 3 <= k-min <= k-max")
+    rows = []
+    for k in range(k_lo, k_hi + 1):
+        eigs = spectral.spectrum(spectral.build_system(k))
+        lam2, lamk = float(eigs[-2]), float(eigs[0])
+        bound = 1.0 - 1.0 / (3.0 * k * k)
+        margin = bound - max(abs(lam2), abs(lamk))
+        rows.append([str(k), _fmt(lam2), _fmt(lamk), _fmt(bound), _fmt(margin)])
     path = _out_path(args, f"{args.prefix}_spectrum.csv")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "lambda_2", "lambda_k", "bound", "margin"])
-        for k in range(k_lo, k_hi + 1):
-            eigs = spectral.spectrum(spectral.build_system(k))
-            lam2, lamk = float(eigs[-2]), float(eigs[0])
-            bound = 1.0 - 1.0 / (3.0 * k * k)
-            margin = bound - max(abs(lam2), abs(lamk))
-            writer.writerow([str(k), _fmt(lam2), _fmt(lamk), _fmt(bound), _fmt(margin)])
+    write_csv(path, ["k", "lambda_2", "lambda_k", "bound", "margin"], rows)
     print(json.dumps({"k_min": k_lo, "k_max": k_hi, "spectrum_csv": str(path)}))
     return EXIT_OK
 
@@ -232,32 +231,21 @@ def cmd_chain(args) -> int:
     t_mix, vcurve = lifted_chain.mixing_profile(chain, args.eps)
     spread = lifted_chain.spreading_min(chain)
 
+    labels = [f"z{i}" for i in range(1, chain.n + 1)]
+    labels += [f"z{i}p" for i in range(1, chain.n + 1)]
     k_path = _out_path(args, f"{args.prefix}_K.csv")
-    with open(k_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        labels = [f"z{i}" for i in range(1, chain.n + 1)]
-        labels += [f"z{i}p" for i in range(1, chain.n + 1)]
-        writer.writerow(["state"] + labels)
-        for name, row in zip(labels, chain.K):
-            writer.writerow([name] + [_fmt(v) for v in row])
+    write_csv(k_path, ["state"] + labels,
+              ([name] + [_fmt(v) for v in row] for name, row in zip(labels, chain.K)))
     pi_path = _out_path(args, f"{args.prefix}_pi.csv")
-    with open(pi_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["state", "pi"])
-        for name, v in zip(labels, pi):
-            writer.writerow([name, _fmt(v)])
+    write_csv(pi_path, ["state", "pi"], ([name, _fmt(v)] for name, v in zip(labels, pi)))
     mix_path = _out_path(args, f"{args.prefix}_mixing.csv")
-    with open(mix_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "v"])
-        for t, v in enumerate(vcurve):
-            writer.writerow([str(t), _fmt(v)])
+    write_csv(mix_path, ["t", "v"], ([str(t), _fmt(v)] for t, v in enumerate(vcurve)))
 
     print(json.dumps({
         "n": args.n, "U": args.big_u, "variant": args.variant,
-        "stationarity_residual": float(_fmt(residual)),
+        "stationarity_residual": float(residual),
         "t_mix": t_mix, "eps": args.eps,
-        "spreading_min": float(_fmt(spread)),
+        "spreading_min": float(spread),
         "K_csv": str(k_path), "pi_csv": str(pi_path), "mixing_csv": str(mix_path),
     }))
     return EXIT_OK

@@ -43,6 +43,14 @@ def _poly_eval(coeffs, x):
     return acc
 
 
+def _poly_eval_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner evaluation of ascending-power coefficient rows[i] at x[i]."""
+    acc = np.zeros_like(x) + rows[:, -1]
+    for k in range(rows.shape[1] - 2, -1, -1):
+        acc = acc * x + rows[:, k]
+    return acc
+
+
 def _poly_extrema(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """Exact min/max of the polynomial on [lo, hi] via derivative roots."""
     candidates = [lo, hi]
@@ -158,10 +166,7 @@ class DensityField:
         """Density value(s) at x."""
         scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
         xv = np.atleast_1d(self._check_x(x))
-        rows = self._rho_rows[self._segment_of(xv)]
-        acc = np.zeros_like(xv) + rows[:, -1]
-        for k in range(rows.shape[1] - 2, -1, -1):
-            acc = acc * xv + rows[:, k]
+        acc = _poly_eval_rows(self._rho_rows[self._segment_of(xv)], xv)
         return float(acc[0]) if scalar else acc
 
     def cdf(self, x):
@@ -169,12 +174,8 @@ class DensityField:
         scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
         xv = np.atleast_1d(self._check_x(x))
         j = self._segment_of(xv)
-        rows = self._anti_rows[j]
-        acc = np.zeros_like(xv) + rows[:, -1]
-        for k in range(rows.shape[1] - 2, -1, -1):
-            acc = acc * xv + rows[:, k]
         # bracketed so that x = b_j gives exactly the stored mass F(b_j)
-        out = self._cum[j] + (acc - self._anti_at_left[j])
+        out = self._cum[j] + (_poly_eval_rows(self._anti_rows[j], xv) - self._anti_at_left[j])
         return float(out[0]) if scalar else out
 
     def _check_mass(self, m) -> np.ndarray:
@@ -225,13 +226,8 @@ class DensityField:
         x = np.where(at_left, lo, np.where(at_right, hi, x))
         done = at_left | at_right
         for _ in range(120):
-            acc = np.zeros_like(x) + arows[:, -1]
-            for k in range(arows.shape[1] - 2, -1, -1):
-                acc = acc * x + arows[:, k]
-            g = acc + offset - m
-            der = np.zeros_like(x) + rrows[:, -1]
-            for k in range(rrows.shape[1] - 2, -1, -1):
-                der = der * x + rrows[:, k]
+            g = _poly_eval_rows(arows, x) + offset - m
+            der = _poly_eval_rows(rrows, x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = x - g / der
             done |= (g == 0.0) | (np.abs(newton - x) <= _NEWTON_ULPS * np.abs(x))

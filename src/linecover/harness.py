@@ -131,14 +131,13 @@ def loglog_fit(ns, values) -> FitResult:
 
 def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
             big_u: int | None = None, variant: str = "uniformized",
-            movement_rule: str = "split",
-            metadata: dict | None = None) -> ExperimentTrace:
+            movement_rule: str = "split") -> ExperimentTrace:
     """Dispatch a single run of either law."""
     if law == "static":
-        return run_static(field, positions0, stop, metadata=metadata)
+        return run_static(field, positions0, stop)
     if law == "dynamic":
         return run_dynamic(field, positions0, stop, big_u=big_u, variant=variant,
-                           movement_rule=movement_rule, metadata=metadata)
+                           movement_rule=movement_rule)
     raise DomainError(f"unknown law {law!r}")
 
 

@@ -45,14 +45,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DensityField, check_positions, coverage, optimal_configuration
+from .density import DensityField, check_positions
 from .errors import DomainError, NumericError
-from .trace import ExperimentTrace, StopRule, TraceRow
+from .trace import ExperimentTrace, StopRule, run_rounds
 
 VARIANTS = ("figure2", "uniformized")
 MOVEMENT_RULES = ("pair", "split")
 
-_ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
 _STATIONARY_TOL = 1e-12   # l1 residual allowed for the closed-form pi
 
 
@@ -161,8 +160,7 @@ def stationary(chain: LiftedChain) -> np.ndarray:
     return pi
 
 
-def mixing_profile(chain: LiftedChain, eps: float,
-                   max_rounds: int | None = None) -> tuple[int, list[float]]:
+def mixing_profile(chain: LiftedChain, eps: float) -> tuple[int, list[float]]:
     """Worst-row total-variation curve and the settling time below eps.
 
     Returns (t_mix, vcurve) where vcurve[t] = max_i ||(K^t)_i - pi||_1 and
@@ -173,7 +171,7 @@ def mixing_profile(chain: LiftedChain, eps: float,
         raise DomainError("eps must lie in (0, 1)")
     pi = stationary(chain)
     window = chain.size
-    cap = max_rounds if max_rounds is not None else 2000 + 600 * chain.n
+    cap = 2000 + 600 * chain.n
     K = chain.K
     powers = np.eye(chain.size)
     vcurve = [float(np.max(np.abs(powers - pi).sum(axis=1)))]
@@ -340,51 +338,23 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
 # runs
 # ----------------------------------------------------------------------
 
-def simulate_dynamic(field: DensityField, state: DynamicState, stop: StopRule,
-                     metadata: dict | None = None) -> ExperimentTrace:
+def simulate_dynamic(field: DensityField, state: DynamicState,
+                     stop: StopRule) -> ExperimentTrace:
     """Run rounds from the current state until the stop rule fires.
 
-    Records one row per round (including the entry state) with coverage,
-    the squared distance to the optimal configuration for the current
-    agent count, and the conserved mass total. ``max_rounds`` counts rounds
-    executed by this call, so churn scenarios can resume a state.
+    Rows are numbered by the state's round index and also record the
+    conserved mass total. ``max_rounds`` counts rounds executed by this
+    call, so churn scenarios can resume a state.
     """
-    xstar, phi_star = optimal_configuration(field, state.n)
-    total = field.total_mass
-    meta = {"law": "dynamic", "field": field.name, "n": state.n,
-            "U": state.chain.big_u, "variant": state.chain.variant,
-            "rule": state.movement_rule, "phi_star": phi_star}
-    if metadata:
-        meta.update(metadata)
-    trace = ExperimentTrace(law="dynamic", metadata=meta)
-
-    streak = 0
-    for k in range(stop.max_rounds + 1):
-        zsum = state.zsum
-        if abs(zsum - total) > _ZSUM_GUARD * max(1.0, total):
-            raise NumericError(f"mass conservation drifted: sum z = {zsum!r}")
-        residual = float(np.sum((state.positions - xstar) ** 2))
-        trace.rows.append(TraceRow(state.round_index, state.positions.copy(),
-                                   coverage(field, state.positions), residual, zsum))
-        if stop.tol is not None and residual <= stop.tol:
-            streak += 1
-            if streak >= stop.persist:
-                trace.stop_reason = "tol"
-                break
-        else:
-            streak = 0
-        if k == stop.max_rounds:
-            trace.stop_reason = "max_rounds"
-            break
-        step_round(field, state)
-    return trace
+    return run_rounds("dynamic", field, state.positions,
+                      lambda x: step_round(field, state).positions, stop,
+                      t=state.round_index, zsum=lambda: state.zsum)
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule, *,
                 big_u: int | None = None, variant: str = "uniformized",
-                movement_rule: str = "split",
-                metadata: dict | None = None) -> ExperimentTrace:
+                movement_rule: str = "split") -> ExperimentTrace:
     """Initialize from positions0 and simulate until the stop rule fires."""
     state = initialize_state(field, positions0, big_u=big_u, variant=variant,
                              movement_rule=movement_rule)
-    return simulate_dynamic(field, state, stop, metadata=metadata)
+    return simulate_dynamic(field, state, stop)

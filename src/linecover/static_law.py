@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityField, check_positions, coverage, optimal_configuration
-from .trace import ExperimentTrace, StopRule, TraceRow
+from .density import DensityField, check_positions
+from .trace import ExperimentTrace, StopRule, run_rounds
 
 
 def static_step(field: DensityField, positions) -> np.ndarray:
@@ -48,35 +48,7 @@ def gap_vector(field: DensityField, positions) -> np.ndarray:
     return d
 
 
-def run_static(field: DensityField, positions0, stop: StopRule,
-               metadata: dict | None = None) -> ExperimentTrace:
-    """Iterate the static law until the stop rule fires.
-
-    The stop criterion compares against the known optimal configuration,
-    which is also the law's limit, so the squared-error stopping rule is
-    computable online.
-    """
+def run_static(field: DensityField, positions0, stop: StopRule) -> ExperimentTrace:
+    """Iterate the static law until the stop rule fires."""
     x = check_positions(positions0, n_min=2)
-    xstar, phi_star = optimal_configuration(field, x.size)
-    meta = {"law": "static", "field": field.name, "n": int(x.size),
-            "phi_star": phi_star}
-    if metadata:
-        meta.update(metadata)
-    trace = ExperimentTrace(law="static", metadata=meta)
-
-    streak = 0
-    for t in range(stop.max_rounds + 1):
-        residual = float(np.sum((x - xstar) ** 2))
-        trace.rows.append(TraceRow(t, x.copy(), coverage(field, x), residual))
-        if stop.tol is not None and residual <= stop.tol:
-            streak += 1
-            if streak >= stop.persist:
-                trace.stop_reason = "tol"
-                break
-        else:
-            streak = 0
-        if t == stop.max_rounds:
-            trace.stop_reason = "max_rounds"
-            break
-        x = static_step(field, x)
-    return trace
+    return run_rounds("static", field, x, lambda x: static_step(field, x), stop)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .density import DensityField, coverage, optimal_configuration
+from .errors import DomainError, NumericError
+
+_ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
 
 
 @dataclass(frozen=True)
@@ -66,3 +70,42 @@ class ExperimentTrace:
     @property
     def final_phi(self) -> float:
         return self.rows[-1].phi
+
+
+def run_rounds(law: str, field: DensityField, positions: np.ndarray,
+               step: Callable[[np.ndarray], np.ndarray], stop: StopRule, *,
+               t: int = 0, zsum: Callable[[], float] | None = None) -> ExperimentTrace:
+    """Advance a run round by round until the stop rule fires.
+
+    ``step`` performs one round of the law and returns the new positions.
+    One row is recorded per round, including the entry state, numbered
+    from ``t``: coverage and the squared distance to the optimal
+    configuration for the run's agent count. That optimum is also the
+    limit of both laws, so the stop criterion is computable online.
+    ``zsum``, when given, returns the conserved mass total, which is
+    recorded and must stay at F(1). ``max_rounds`` counts the rounds
+    executed by this call, so churn scenarios can resume a run.
+    """
+    x = positions
+    xstar, phi_star = optimal_configuration(field, x.size)
+    total = field.total_mass
+    trace = ExperimentTrace(law=law, metadata={"law": law, "field": field.name,
+                                               "n": int(x.size), "phi_star": phi_star})
+    streak = 0
+    for k in range(stop.max_rounds + 1):
+        mass = None
+        if zsum is not None:
+            mass = zsum()
+            if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
+                raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
+        residual = float(np.sum((x - xstar) ** 2))
+        trace.rows.append(TraceRow(t + k, x.copy(), coverage(field, x), residual, mass))
+        streak = streak + 1 if stop.tol is not None and residual <= stop.tol else 0
+        if streak >= stop.persist:
+            trace.stop_reason = "tol"
+            break
+        if k == stop.max_rounds:
+            trace.stop_reason = "max_rounds"
+            break
+        x = step(x)
+    return trace

@@ -392,6 +392,33 @@ def test_trace_records_conserved_mass_and_order(quadratic_field):
         assert np.all(np.diff(row.positions) >= 0.0)
 
 
+def test_tol_stop_waits_for_persistent_streak(uniform_field):
+    # The residual dips below tol once before it stays there, so a rule that
+    # did not reset its streak would stop too early.
+    n, tol, persist = 8, 1e-3, 8
+    x0 = initial_positions("random", n, StreamRng(0, n, 0), law="dynamic")
+    free = run_dynamic(uniform_field, x0, StopRule(tol=None, max_rounds=200))
+    below = [row.residual_sq <= tol for row in free.rows]
+    oracle = next(k for k in range(persist - 1, len(below))
+                  if all(below[k - persist + 1:k + 1]))
+    first = below.index(True)
+    assert first + persist - 1 < oracle   # the case has a dip that does not persist
+    assert (first, oracle) == (24, 45)
+
+    trace = run_dynamic(uniform_field, x0, StopRule(tol=tol, max_rounds=200, persist=persist))
+    assert trace.stop_reason == "tol"
+    assert trace.final_round == oracle
+    assert [row.residual_sq for row in trace.rows] == [
+        row.residual_sq for row in free.rows[:oracle + 1]]
+
+
+def test_simulate_dynamic_guards_mass_conservation(uniform_field):
+    state = initialize_state(uniform_field, [0.2, 0.5, 0.8])
+    state.z[0] += 1e-6
+    with pytest.raises(NumericError):
+        simulate_dynamic(uniform_field, state, StopRule(tol=None, max_rounds=3))
+
+
 def test_run_dynamic_rejects_two_agents(uniform_field):
     with pytest.raises(DomainError):
         run_dynamic(uniform_field, [0.2, 0.8], StopRule())
