@@ -11,7 +11,6 @@ LINECOVER_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,17 +28,28 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
-_SCENARIO_KEYS = {"law", "density", "n", "init", "positions", "seed",
-                  "tol", "max_rounds", "U", "variant", "rule"}
+_FLOAT = "%.17g"
+
+
+def _typed(kind: type, value):
+    """``value`` as ``kind``: a bool is no number, and an int must be whole."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is list and isinstance(value, list):
+        return [_typed(float, v) for v in value]
+    if (kind is str and isinstance(value, str) or kind is float and number
+            or kind is int and number and float(value).is_integer()):
+        return kind(value)
+    raise TypeError(f"expected {kind.__name__}, got {value!r}")
+
+
+# field -> (default, type); each field is also a flag (U is --big-u), and a
+# field whose default is None also takes null in a scenario file
 _SCENARIO_DEFAULTS = {
-    "law": "static", "density": "uniform", "n": 5, "init": "random",
-    "positions": None, "seed": 0, "tol": 1e-4, "max_rounds": 200_000,
-    "U": None, "variant": "uniformized", "rule": "split",
+    "law": ("static", str), "density": ("uniform", str), "n": (5, int),
+    "init": ("random", str), "positions": (None, list), "seed": (0, int),
+    "tol": (1e-4, float), "max_rounds": (200_000, int), "U": (None, int),
+    "variant": ("uniformized", str), "rule": ("split", str),
 }
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def canonical_scenario_json(scenario: dict) -> str:
@@ -48,6 +58,7 @@ def canonical_scenario_json(scenario: dict) -> str:
 
 
 def load_scenario(path: str) -> dict:
+    """The fields of a scenario file, each converted to its type."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -60,38 +71,42 @@ def load_scenario(path: str) -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ParseError("scenario file must hold a JSON object")
-    unknown = set(data) - _SCENARIO_KEYS
+    unknown = set(data) - set(_SCENARIO_DEFAULTS)
     if unknown:
         raise ParseError(f"scenario has unknown fields: {sorted(unknown)}")
-    return data
-
-
-def build_scenario(args) -> dict:
-    scenario = dict(_SCENARIO_DEFAULTS)
-    if getattr(args, "scenario", None):
-        scenario.update(load_scenario(args.scenario))
-    overrides = {
-        "law": args.law, "density": args.density, "n": args.n,
-        "init": args.init, "seed": args.seed, "tol": args.tol,
-        "max_rounds": args.max_rounds, "U": args.big_u,
-        "variant": args.variant, "rule": args.rule,
-    }
-    if getattr(args, "positions", None):
-        overrides["positions"] = [float(v) for v in args.positions.split(",")]
-    for key, value in overrides.items():
-        if value is not None:
-            scenario[key] = value
-    _validate_scenario(scenario)
+    scenario = {}
+    for key, value in data.items():
+        default, kind = _SCENARIO_DEFAULTS[key]
+        try:
+            scenario[key] = (None if value is None and default is None
+                             else _typed(kind, value))
+        except (TypeError, OverflowError) as exc:
+            raise ParseError(f"scenario field {key!r}: {exc}") from exc
     return scenario
 
 
-def _validate_scenario(s: dict) -> None:
-    if s["law"] not in ("static", "dynamic"):
+def build_scenario(args) -> dict:
+    """Defaults, then the scenario file, then flags; checks the run's preconditions."""
+    scenario = {key: default for key, (default, _) in _SCENARIO_DEFAULTS.items()}
+    if args.scenario:
+        scenario.update(load_scenario(args.scenario))
+    flags = dict(vars(args), U=args.big_u)
+    scenario.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
+    if scenario["law"] not in ("static", "dynamic"):
         raise DomainError("law must be 'static' or 'dynamic'")
-    n_min = 2 if s["law"] == "static" else 3
-    if s["positions"] is None and int(s["n"]) < n_min:
-        raise DomainError(f"the {s['law']} law needs at least {n_min} agents")
-    StopRule(tol=float(s["tol"]), max_rounds=int(s["max_rounds"]))  # validates both
+    n_min = 2 if scenario["law"] == "static" else 3
+    if scenario["positions"] is None and scenario["n"] < n_min:
+        raise DomainError(f"the {scenario['law']} law needs at least {n_min} agents")
+    StopRule(tol=scenario["tol"], max_rounds=scenario["max_rounds"])  # validates both
+    return scenario
+
+
+def float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def _out_path(args, name: str) -> Path:
@@ -100,27 +115,31 @@ def _out_path(args, name: str) -> Path:
     return root / name
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """One header line, then one line per row of already formatted cells."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
+    """One header line, then ``fmt % row`` per row; every line ends in CRLF."""
+    line = fmt + "\n"
+    with open(path, "w", newline="\r\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(line % tuple(row) for row in rows)
 
 
 def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
+    """Round, positions, phi, residual and zsum, which is empty for the static law."""
     n = len(trace.rows[0].positions)
     header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
-    write_csv(path, header, (
-        [str(row.t)] + [_fmt(x) for x in row.positions]
-        + [_fmt(row.phi), _fmt(row.residual_sq), "" if row.zsum is None else _fmt(row.zsum)]
+    dynamic = trace.rows[0].zsum is not None
+    fmt = ",".join(["%d"] + [_FLOAT] * (n + 2) + [_FLOAT if dynamic else ""])
+    write_csv(path, header, fmt, (
+        [row.t, *row.positions.tolist(), row.phi, row.residual_sq]
+        + ([row.zsum] if dynamic else [])
         for row in trace.rows))
 
 
-def write_sweep_csv(path: Path, table: harness.SweepTable) -> None:
-    write_csv(path, ["n", "mean_rounds", "std_rounds", "runs"], (
-        [str(row.n), _fmt(row.mean_rounds), _fmt(row.std_rounds), str(row.runs)]
-        for row in table.rows))
+def _write_summary(args, summary: dict) -> int:
+    path = _out_path(args, f"{args.prefix}_summary.json")
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -139,31 +158,25 @@ def cmd_optimal(args) -> int:
     return EXIT_OK
 
 
-def _scenario_initial_positions(scenario: dict, field) -> np.ndarray:
-    if scenario["positions"] is not None:
-        return np.asarray(scenario["positions"], dtype=float)
-    rng = harness.StreamRng(int(scenario["seed"]), int(scenario["n"]), 0)
-    return harness.initial_positions(scenario["init"], int(scenario["n"]),
-                                     rng, law=scenario["law"])
-
-
 def cmd_simulate(args) -> int:
     scenario = build_scenario(args)
     field = resolve_density(scenario["density"])
-    x0 = _scenario_initial_positions(scenario, field)
-    law = scenario["law"]
-    big_u = None if scenario["U"] is None else int(scenario["U"])
-    stop = harness.stop_rule(law, len(x0), float(scenario["tol"]),
-                             int(scenario["max_rounds"]), big_u)
+    law, n, big_u = scenario["law"], scenario["n"], scenario["U"]
+    if scenario["positions"] is not None:
+        x0 = np.asarray(scenario["positions"], dtype=float)
+    else:
+        rng = harness.StreamRng(scenario["seed"], n, 0)
+        x0 = harness.initial_positions(scenario["init"], n, rng, law=law)
+    stop = harness.stop_rule(law, len(x0), scenario["tol"], scenario["max_rounds"], big_u)
     trace = harness.run_one(law, field, x0, stop, big_u=big_u,
                             variant=scenario["variant"],
                             movement_rule=scenario["rule"])
-    rounds, converged = harness.convergence_time(trace, float(scenario["tol"]))
+    rounds, converged = harness.convergence_time(trace, scenario["tol"])
 
     trace_path = _out_path(args, f"{args.prefix}_trace.csv")
     write_trace_csv(trace_path, trace)
-    summary = {
-        "scenario": json.loads(canonical_scenario_json(scenario)),
+    return _write_summary(args, {
+        "scenario": scenario,
         "stop_reason": trace.stop_reason,
         "rounds": trace.final_round,
         "convergence_rounds": rounds,
@@ -172,39 +185,28 @@ def cmd_simulate(args) -> int:
         "phi_star": float(trace.metadata["phi_star"]),
         "final_residual_sq": float(trace.rows[-1].residual_sq),
         "trace_csv": str(trace_path),
-    }
-    summary_path = _out_path(args, f"{args.prefix}_summary.json")
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    })
 
 
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
     field = resolve_density(scenario["density"])
-    n_list = [int(v) for v in args.n_list.split(",")]
-    big_u = None if scenario["U"] is None else int(scenario["U"])
-    table = harness.sweep(scenario["law"], field, n_list, args.runs,
-                          scenario["init"], int(scenario["seed"]),
-                          tol=float(scenario["tol"]),
-                          max_rounds=int(scenario["max_rounds"]),
-                          big_u=big_u, variant=scenario["variant"],
+    table = harness.sweep(scenario["law"], field, args.n_list, args.runs,
+                          scenario["init"], scenario["seed"],
+                          tol=scenario["tol"], max_rounds=scenario["max_rounds"],
+                          big_u=scenario["U"], variant=scenario["variant"],
                           movement_rule=scenario["rule"], workers=args.workers)
     sweep_path = _out_path(args, f"{args.prefix}_sweep.csv")
-    write_sweep_csv(sweep_path, table)
-    summary = {
-        "scenario": json.loads(canonical_scenario_json(scenario)),
-        "n_list": n_list,
+    write_csv(sweep_path, ["n", "mean_rounds", "std_rounds", "runs"],
+              f"%d,{_FLOAT},{_FLOAT},%d",
+              ((row.n, row.mean_rounds, row.std_rounds, row.runs) for row in table.rows))
+    return _write_summary(args, {
+        "scenario": scenario,
+        "n_list": args.n_list,
         "runs": args.runs,
-        "fit": {"slope": float(table.fit.slope),
-                "intercept": float(table.fit.intercept),
-                "r_squared": float(table.fit.r_squared)},
+        "fit": table.fit._asdict(),
         "sweep_csv": str(sweep_path),
-    }
-    summary_path = _out_path(args, f"{args.prefix}_summary.json")
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    })
 
 
 def cmd_spectral(args) -> int:
@@ -217,9 +219,10 @@ def cmd_spectral(args) -> int:
         lam2, lamk = float(eigs[-2]), float(eigs[0])
         bound = 1.0 - 1.0 / (3.0 * k * k)
         margin = bound - max(abs(lam2), abs(lamk))
-        rows.append([str(k), _fmt(lam2), _fmt(lamk), _fmt(bound), _fmt(margin)])
+        rows.append((k, lam2, lamk, bound, margin))
     path = _out_path(args, f"{args.prefix}_spectrum.csv")
-    write_csv(path, ["k", "lambda_2", "lambda_k", "bound", "margin"], rows)
+    write_csv(path, ["k", "lambda_2", "lambda_k", "bound", "margin"],
+              ",".join(["%d"] + [_FLOAT] * 4), rows)
     print(json.dumps({"k_min": k_lo, "k_max": k_hi, "spectrum_csv": str(path)}))
     return EXIT_OK
 
@@ -234,12 +237,12 @@ def cmd_chain(args) -> int:
     labels = [f"z{i}" for i in range(1, chain.n + 1)]
     labels += [f"z{i}p" for i in range(1, chain.n + 1)]
     k_path = _out_path(args, f"{args.prefix}_K.csv")
-    write_csv(k_path, ["state"] + labels,
-              ([name] + [_fmt(v) for v in row] for name, row in zip(labels, chain.K)))
+    write_csv(k_path, ["state"] + labels, ",".join(["%s"] + [_FLOAT] * len(labels)),
+              ([name, *row] for name, row in zip(labels, chain.K.tolist())))
     pi_path = _out_path(args, f"{args.prefix}_pi.csv")
-    write_csv(pi_path, ["state", "pi"], ([name, _fmt(v)] for name, v in zip(labels, pi)))
+    write_csv(pi_path, ["state", "pi"], f"%s,{_FLOAT}", zip(labels, pi.tolist()))
     mix_path = _out_path(args, f"{args.prefix}_mixing.csv")
-    write_csv(mix_path, ["t", "v"], ([str(t), _fmt(v)] for t, v in enumerate(vcurve)))
+    write_csv(mix_path, ["t", "v"], f"%d,{_FLOAT}", enumerate(vcurve))
 
     print(json.dumps({
         "n": args.n, "U": args.big_u, "variant": args.variant,
@@ -261,7 +264,8 @@ def _add_common_run_flags(sub) -> None:
     sub.add_argument("--density", help="preset name or density JSON path")
     sub.add_argument("--n", type=int)
     sub.add_argument("--init", help="random | all-one | all-zero-perturbed")
-    sub.add_argument("--positions", help="explicit comma-separated start positions")
+    sub.add_argument("--positions", type=float_list,
+                     help="explicit comma-separated start positions")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--tol", type=float)
     sub.add_argument("--max-rounds", type=int, dest="max_rounds")
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="convergence-time scaling over n")
     _add_common_run_flags(p)
-    p.add_argument("--n-list", dest="n_list", required=True,
+    p.add_argument("--n-list", dest="n_list", type=int_list, required=True,
                    help="comma-separated agent counts")
     p.add_argument("--runs", type=int, default=40)
     p.add_argument("--workers", type=int, default=1)

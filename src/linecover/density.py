@@ -35,6 +35,16 @@ _NEG_TOL = 1e-12          # tolerated negative polynomial minimum (roundoff)
 _NEWTON_ULPS = 4.5e-16    # relative Newton step at which the inverse stops
 
 
+def _inside(values, hi: float = 1.0,
+            message: str = "points must lie in [0, 1]") -> np.ndarray:
+    """``values`` clipped to [0, hi]; DomainError unless all lie in it up to slack."""
+    v = np.asarray(values, dtype=float)
+    slack = _X_SLACK * max(1.0, hi)
+    if not ((v >= -slack) & (v <= hi + slack)).all():
+        raise DomainError(message)
+    return np.clip(v, 0.0, hi)
+
+
 def _poly_eval(coeffs, x):
     """Horner evaluation of ascending-power coefficients at scalar x."""
     acc = 0.0
@@ -77,10 +87,10 @@ class DensityField:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise DomainError("breakpoints must be a 1-D list with at least 2 entries")
-        if abs(bp[0]) > _X_SLACK or abs(bp[-1] - 1.0) > _X_SLACK:
+        if not (abs(bp[0]) <= _X_SLACK and abs(bp[-1] - 1.0) <= _X_SLACK):
             raise DomainError("breakpoints must start at 0 and end at 1")
         bp[0], bp[-1] = 0.0, 1.0
-        if np.any(np.diff(bp) <= 0.0):
+        if not np.all(np.diff(bp) > 0.0):
             raise DomainError("breakpoints must be strictly increasing")
         if len(coefficients) != bp.size - 1:
             raise DomainError(
@@ -156,34 +166,21 @@ class DensityField:
         j = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(j, 0, self.breakpoints.size - 2)
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -_X_SLACK) or np.any(x > 1.0 + _X_SLACK):
-            raise DomainError("points must lie in [0, 1]")
-        return np.clip(x, 0.0, 1.0)
-
     def rho(self, x):
         """Density value(s) at x."""
         scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-        xv = np.atleast_1d(self._check_x(x))
+        xv = np.atleast_1d(_inside(x))
         acc = _poly_eval_rows(self._rho_rows[self._segment_of(xv)], xv)
         return float(acc[0]) if scalar else acc
 
     def cdf(self, x):
         """Cumulative mass F(x)."""
         scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-        xv = np.atleast_1d(self._check_x(x))
+        xv = np.atleast_1d(_inside(x))
         j = self._segment_of(xv)
         # bracketed so that x = b_j gives exactly the stored mass F(b_j)
         out = self._cum[j] + (_poly_eval_rows(self._anti_rows[j], xv) - self._anti_at_left[j])
         return float(out[0]) if scalar else out
-
-    def _check_mass(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        tol = _X_SLACK * max(1.0, self.total_mass)
-        if np.any(m < -tol) or np.any(m > self.total_mass + tol):
-            raise DomainError("mass values must lie in [0, F(1)]")
-        return np.clip(m, 0.0, self.total_mass)
 
     def inverse_cdf(self, m):
         """The unique x with F(x) = m.
@@ -207,7 +204,8 @@ class DensityField:
         """
         if np.isscalar(m) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))
-        return self._inverse_vector(self._check_mass(m))
+        return self._inverse_vector(
+            _inside(m, self.total_mass, "mass values must lie in [0, F(1)]"))
 
     def _inverse_vector(self, m: np.ndarray) -> np.ndarray:
         j = np.clip(np.searchsorted(self._cum, m, side="right") - 1, 0,
@@ -262,7 +260,7 @@ class DensityField:
 
     def _inverse_scalar(self, m: float) -> float:
         tol = _X_SLACK * max(1.0, self.total_mass)
-        if m < -tol or m > self.total_mass + tol:
+        if not -tol <= m <= self.total_mass + tol:
             raise DomainError("mass values must lie in [0, F(1)]")
         m = min(max(m, 0.0), self.total_mass)
         j = bisect.bisect_right(self._cum_list, m) - 1
@@ -316,10 +314,10 @@ class DensityField:
         interval (a >= b) returns a, so the control laws stay total when
         agents coincide.
         """
-        if alpha < 0.0:
+        if not alpha >= 0.0:
             raise DomainError("alpha must be nonnegative")
         if a >= b:
-            self._check_x(a)
+            _inside(a)
             return float(a)
         target = (self.cdf(a) + alpha * self.cdf(b)) / (1.0 + alpha)
         return float(self.inverse_cdf(target))
@@ -346,11 +344,10 @@ def check_positions(positions, n_min: int = 1) -> np.ndarray:
     x = np.asarray(positions, dtype=float)
     if x.ndim != 1 or x.size < n_min:
         raise DomainError(f"need at least {n_min} agent position(s)")
-    if np.any(x < -_X_SLACK) or np.any(x > 1.0 + _X_SLACK):
-        raise DomainError("agent positions must lie in [0, 1]")
+    x = _inside(x, message="agent positions must lie in [0, 1]")
     if np.any(np.diff(x) < 0.0):
         raise DomainError("agent positions must be nondecreasing")
-    return np.clip(x, 0.0, 1.0)
+    return x
 
 
 def coverage(field: DensityField, positions) -> float:

@@ -89,8 +89,7 @@ def run_rounds(law: str, field: DensityField, positions: np.ndarray,
     x = positions
     xstar, phi_star = optimal_configuration(field, x.size)
     total = field.total_mass
-    trace = ExperimentTrace(law=law, metadata={"law": law, "field": field.name,
-                                               "n": int(x.size), "phi_star": phi_star})
+    trace = ExperimentTrace(law=law, metadata={"phi_star": phi_star})
     streak = 0
     for k in range(stop.max_rounds + 1):
         mass = None

@@ -2,9 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import linecover
+from linecover import build_chain, resolve_density, run_one, stationary, stop_rule
 from linecover.cli import canonical_scenario_json, main
 
 
@@ -167,6 +174,90 @@ def test_scenario_parse_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--scenario", str(path)])
     assert code == 3
     assert "frobnicate" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--positions", "0.1,abc"],
+    ["sweep", "--n-list", "5,x"],
+    ["simulate", "--positions", "0.1,nan,0.5"],
+])
+def test_malformed_flags_are_usage_errors(capsys, tmp_path, argv):
+    code, _, _ = run_cli(capsys, argv + ["--max-rounds", "10", "--out-dir", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("key,value", [("n", "abc"), ("positions", "abc"), ("tol", "x"),
+                                       ("n", 5.5), ("n", True)])
+def test_ill_typed_scenario_values_are_parse_errors(capsys, tmp_path, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    code, _, err = run_cli(capsys, ["simulate", "--scenario", str(path),
+                                    "--out-dir", str(tmp_path)])
+    assert code == 3
+    error = json.loads(err)
+    assert error["error"] == "parse"
+    assert repr(key) in error["message"]
+
+
+@pytest.mark.parametrize("argv,code", [(["--positions", "0.1,abc"], 2),
+                                       (["--scenario", "bad.json"], 3)])
+def test_malformed_input_exits_without_traceback(tmp_path, argv, code):
+    (tmp_path / "bad.json").write_text(json.dumps({"n": "abc"}))
+    env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "linecover.cli", "simulate", *argv],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+
+
+def test_scenario_values_take_their_field_type(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 4.0, "tol": 1, "max_rounds": 50.0, "U": None,
+                                "positions": None}))
+    code, out, _ = run_cli(capsys, ["simulate", "--scenario", str(path),
+                                    "--out-dir", str(tmp_path)])
+    assert code == 0
+    echoed = json.loads(out)["scenario"]
+    assert type(echoed["n"]) is int and echoed["n"] == 4
+    assert type(echoed["tol"]) is float and echoed["tol"] == 1.0
+    assert type(echoed["max_rounds"]) is int
+
+
+def _crlf_bytes(header, rows) -> bytes:
+    """The CSV rule: cells joined by commas, floats as format(v, ".17g"), CRLF."""
+    lines = [header] + [[c if isinstance(c, str) else format(c, ".17g") for c in row]
+                        for row in rows]
+    return b"".join(",".join(cells).encode() + b"\r\n" for cells in lines)
+
+
+@pytest.mark.parametrize("law,positions", [("static", [0.2, 0.6]),
+                                           ("dynamic", [0.1, 0.4, 0.8])])
+def test_trace_csv_golden_bytes(capsys, tmp_path, law, positions):
+    code, _, _ = run_cli(capsys, [
+        "simulate", "--law", law, "--density", "quadratic", "--max-rounds", "3",
+        "--positions", ",".join(map(str, positions)), "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    n = len(positions)
+    trace = run_one(law, resolve_density("quadratic"), np.array(positions),
+                    stop_rule(law, n, 1e-4, 3))
+    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
+    rows = [[str(row.t), *row.positions, row.phi, row.residual_sq,
+             "" if row.zsum is None else row.zsum] for row in trace.rows]
+    assert len(rows) == 4
+    assert (tmp_path / "simulate_trace.csv").read_bytes() == _crlf_bytes(header, rows)
+
+
+def test_chain_csv_golden_bytes(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, ["chain", "--n", "3", "--big-u", "3",
+                                  "--out-dir", str(tmp_path)])
+    assert code == 0
+    chain = build_chain(3, 3, "figure2")
+    labels = ["z1", "z2", "z3", "z1p", "z2p", "z3p"]
+    assert (tmp_path / "chain_K.csv").read_bytes() == _crlf_bytes(
+        ["state"] + labels, [[name, *row] for name, row in zip(labels, chain.K)])
+    assert (tmp_path / "chain_pi.csv").read_bytes() == _crlf_bytes(
+        ["state", "pi"], [[name, v] for name, v in zip(labels, stationary(chain))])
 
 
 def test_sweep_csv_schema(capsys, tmp_path):

@@ -12,6 +12,7 @@ from linecover import (
     DomainError,
     ParseError,
     StreamRng,
+    check_positions,
     coverage,
     density_from_dict,
     load_density,
@@ -84,6 +85,27 @@ def test_inverse_cdf_domain_error(uniform_field):
         uniform_field.inverse_cdf(1.5)
     with pytest.raises(DomainError):
         uniform_field.inverse_cdf(-0.1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: check_positions([0.1, NAN]),
+    lambda f: coverage(f, [0.2, NAN]),
+    lambda f: f.rho(NAN),
+    lambda f: f.cdf(NAN),
+    lambda f: f.cdf(np.array([0.5, NAN])),
+    lambda f: f.inverse_cdf(NAN),
+    lambda f: f.inverse_cdf(np.array([0.5, NAN])),
+    lambda f: f.alpha_median(0.1, 0.9, NAN),
+    lambda f: DensityField([0.0, NAN, 1.0], [[1.0], [1.0]]),
+    lambda f: DensityField([NAN, 0.5, 1.0], [[1.0], [1.0]]),
+], ids=["check_positions", "coverage", "rho", "cdf", "cdf_vector", "inverse",
+        "inverse_vector", "alpha_median", "breakpoint", "first_breakpoint"])
+def test_nan_fails_every_range_check(uniform_field, call):
+    with pytest.raises(DomainError):
+        call(uniform_field)
 
 
 @pytest.mark.parametrize("case", range(4))
