@@ -23,7 +23,6 @@ from .harness import (
     optimality_residual,
     run_one,
     static_round_budget,
-    stop_rule,
     sweep,
 )
 from .lifted_chain import (

@@ -86,7 +86,7 @@ def load_scenario(path: str) -> dict:
 
 
 def build_scenario(args) -> dict:
-    """Defaults, then the scenario file, then flags; checks the run's preconditions."""
+    """Defaults, then the scenario file, then flags; checks the law and stop values."""
     scenario = {key: default for key, (default, _) in _SCENARIO_DEFAULTS.items()}
     if args.scenario:
         scenario.update(load_scenario(args.scenario))
@@ -94,9 +94,6 @@ def build_scenario(args) -> dict:
     scenario.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
     if scenario["law"] not in ("static", "dynamic"):
         raise DomainError("law must be 'static' or 'dynamic'")
-    n_min = 2 if scenario["law"] == "static" else 3
-    if scenario["positions"] is None and scenario["n"] < n_min:
-        raise DomainError(f"the {scenario['law']} law needs at least {n_min} agents")
     StopRule(tol=scenario["tol"], max_rounds=scenario["max_rounds"])  # validates both
     return scenario
 
@@ -161,14 +158,14 @@ def cmd_optimal(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = build_scenario(args)
     field = resolve_density(scenario["density"])
-    law, n, big_u = scenario["law"], scenario["n"], scenario["U"]
+    law, n = scenario["law"], scenario["n"]
     if scenario["positions"] is not None:
         x0 = np.asarray(scenario["positions"], dtype=float)
     else:
         rng = harness.StreamRng(scenario["seed"], n, 0)
         x0 = harness.initial_positions(scenario["init"], n, rng, law=law)
-    stop = harness.stop_rule(law, len(x0), scenario["tol"], scenario["max_rounds"], big_u)
-    trace = harness.run_one(law, field, x0, stop, big_u=big_u,
+    stop = StopRule(scenario["tol"], scenario["max_rounds"])
+    trace = harness.run_one(law, field, x0, stop, big_u=scenario["U"],
                             variant=scenario["variant"],
                             movement_rule=scenario["rule"])
     rounds, converged = harness.convergence_time(trace, scenario["tol"])
@@ -190,6 +187,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = build_scenario(args)
+    if scenario["positions"] is not None:
+        raise DomainError("sweep draws its own start positions and takes no positions")
     field = resolve_density(scenario["density"])
     table = harness.sweep(scenario["law"], field, args.n_list, args.runs,
                           scenario["init"], scenario["seed"],

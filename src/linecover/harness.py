@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +45,7 @@ def convergence_time(trace: ExperimentTrace, tol: float) -> ConvergenceTime:
 
     Returns (last round, converged=False) when the criterion never locks in.
     """
-    if not math.isfinite(tol):
-        return ConvergenceTime(trace.rows[0].t, True)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     last_bad = None
     for idx in range(len(trace.rows) - 1, -1, -1):
@@ -72,6 +71,8 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
     mode = _INIT_ALIASES.get(mode, mode)
     if mode not in INIT_MODES:
         raise DomainError(f"unknown init mode {mode!r}")
+    if n < 1:
+        raise DomainError(f"need at least one agent, got n = {n}")
     if mode == "random-uniform-order-statistics":
         if rng is None:
             raise DomainError("random init needs a seeded generator")
@@ -141,33 +142,18 @@ def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
     raise DomainError(f"unknown law {law!r}")
 
 
-def stop_rule(law: str, n: int, tol: float | None, max_rounds: int,
-              big_u: int | None = None) -> StopRule:
-    """The stop rule of one run of either law.
-
-    The dynamic law moves one agent per round, so its tolerance must hold
-    for a full token cycle of U rounds (U defaults to n); the static law
-    moves every agent every round and needs it to hold once.
-    """
-    persist = (big_u if big_u is not None else n) if law == "dynamic" else 1
-    return StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
-
-
-def _sweep_cell(args) -> tuple[int, int, int]:
-    (law, field, n, run, init_mode, seed, tol, max_rounds,
-     big_u, variant, movement_rule) = args
-    rng = StreamRng(seed, n, run)
-    x0 = initial_positions(init_mode, n, rng, law=law)
-    stop = stop_rule(law, n, tol, max_rounds, big_u)
-    trace = run_one(law, field, x0, stop, big_u=big_u, variant=variant,
-                    movement_rule=movement_rule)
+def _sweep_cell(law: str, field: DensityField, init_mode: str, seed: int, tol: float,
+                max_rounds: int, options: dict, n: int, run: int) -> int:
+    """Convergence rounds of run ``run`` at n agents, from substream (seed, n, run)."""
+    x0 = initial_positions(init_mode, n, StreamRng(seed, n, run), law=law)
+    trace = run_one(law, field, x0, StopRule(tol, max_rounds), **options)
     rounds, converged = convergence_time(trace, tol)
     if not converged:
         raise NumericError(
             f"sweep cell (law={law}, n={n}, run={run}) did not converge "
             f"within {max_rounds} rounds"
         )
-    return n, run, rounds
+    return rounds
 
 
 def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
@@ -183,21 +169,21 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
     if runs < 1:
         raise DomainError("runs must be at least 1")
     n_list = [int(n) for n in n_list]
-    cells = [
-        (law, field, n, run, init_mode, seed, tol, max_rounds,
-         big_u, variant, movement_rule)
-        for n in n_list for run in range(runs)
-    ]
+    if len(set(n_list)) < 2:
+        raise DomainError("a sweep needs at least two distinct agent counts to fit")
+    cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds,
+                   dict(big_u=big_u, variant=variant, movement_rule=movement_rule))
+    ns = [n for n in n_list for _ in range(runs)]
+    run_ids = list(range(runs)) * len(n_list)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            results = list(pool.map(cell, ns, run_ids))
     else:
-        results = [_sweep_cell(c) for c in cells]
+        results = list(map(cell, ns, run_ids))
 
-    counts = {(n, run): rounds for n, run, rounds in results}
+    counts = np.array(results, dtype=float).reshape(len(n_list), runs)
     rows = []
-    for n in n_list:
-        vals = np.array([counts[(n, run)] for run in range(runs)], dtype=float)
+    for n, vals in zip(n_list, counts):
         mean = float(vals.mean())
         if mean < 1.0:
             raise NumericError(f"degenerate sweep row for n={n}: mean rounds {mean}")

@@ -40,7 +40,7 @@ point under the uniformized chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -344,8 +344,11 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
 
     Rows are numbered by the state's round index and also record the
     conserved mass total. ``max_rounds`` counts rounds executed by this
-    call, so churn scenarios can resume a state.
+    call, so churn scenarios can resume a state. An unset ``persist`` is
+    one token cycle of U rounds, since one agent moves per round.
     """
+    if stop.persist is None:
+        stop = replace(stop, persist=state.chain.big_u)
     return run_rounds("dynamic", field, state.positions,
                       lambda x: step_round(field, state).positions, stop,
                       t=state.round_index, zsum=lambda: state.zsum)

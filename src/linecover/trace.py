@@ -19,20 +19,21 @@ class StopRule:
 
     ``tol`` bounds the squared position error sum(x_i - x_i*)^2 against the
     optimal configuration for the run's agent count; the rule fires once the
-    criterion has held for ``persist`` consecutive rounds. ``max_rounds``
-    always terminates the run.
+    criterion has held for ``persist`` consecutive rounds. Left unset, the
+    law sets it: one round, or one token cycle of U rounds for the dynamic
+    law. ``max_rounds`` always terminates the run.
     """
 
     tol: float | None = 1e-4
     max_rounds: int = 100_000
-    persist: int = 1
+    persist: int | None = None
 
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0.0:
             raise DomainError("tol must be positive (or None to disable)")
         if self.max_rounds < 1:
             raise DomainError("max_rounds must be at least 1")
-        if self.persist < 1:
+        if self.persist is not None and self.persist < 1:
             raise DomainError("persist must be at least 1")
 
 
@@ -90,6 +91,7 @@ def run_rounds(law: str, field: DensityField, positions: np.ndarray,
     xstar, phi_star = optimal_configuration(field, x.size)
     total = field.total_mass
     trace = ExperimentTrace(law=law, metadata={"phi_star": phi_star})
+    persist = 1 if stop.persist is None else stop.persist
     streak = 0
     for k in range(stop.max_rounds + 1):
         mass = None
@@ -100,7 +102,7 @@ def run_rounds(law: str, field: DensityField, positions: np.ndarray,
         residual = float(np.sum((x - xstar) ** 2))
         trace.rows.append(TraceRow(t + k, x.copy(), coverage(field, x), residual, mass))
         streak = streak + 1 if stop.tol is not None and residual <= stop.tol else 0
-        if streak >= stop.persist:
+        if streak >= persist:
             trace.stop_reason = "tol"
             break
         if k == stop.max_rounds:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import linecover
-from linecover import build_chain, resolve_density, run_one, stationary, stop_rule
+from linecover import StopRule, build_chain, resolve_density, run_one, stationary
 from linecover.cli import canonical_scenario_json, main
 
 
@@ -56,7 +56,7 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_nonconverging_sweep_is_numeric_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, [
-        "sweep", "--law", "static", "--density", "uniform", "--n-list", "8",
+        "sweep", "--law", "static", "--density", "uniform", "--n-list", "8,9",
         "--runs", "1", "--init", "all-one", "--seed", "1",
         "--tol", "1e-12", "--max-rounds", "4", "--out-dir", str(tmp_path),
     ])
@@ -131,6 +131,37 @@ def test_simulate_dynamic_rejects_estimate_below_n(capsys, tmp_path):
     assert not (tmp_path / "simulate_trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "--n", "5"],
+                                     ["sweep", "--n-list", "5,10", "--runs", "1"]])
+def test_estimate_zero_names_u(capsys, tmp_path, command):
+    # the dynamic law's stop persistence is U rounds; a bad U must be
+    # reported as U, not as the stop rule it would have built
+    code, _, err = run_cli(capsys, command + ["--law", "dynamic", "--big-u", "0",
+                                              "--out-dir", str(tmp_path)])
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "U = 0" in error["message"]
+
+
+def test_sweep_ignores_the_simulate_agent_count(capsys, tmp_path):
+    code, _, err = run_cli(capsys, [
+        "sweep", "--n", "1", "--n-list", "5,10", "--runs", "1", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [["--n-list", "5"], ["--n-list", "5,5"],
+                                  ["--n-list", "5,10", "--positions", "0.1,0.2"]])
+def test_sweep_rejects_one_agent_count_and_positions(capsys, tmp_path, argv):
+    # one distinct n gives no slope to fit, and sweep never reads positions
+    code, _, err = run_cli(capsys, ["sweep", *argv, "--runs", "1",
+                                    "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    assert not (tmp_path / "sweep_sweep.csv").exists()
+
+
 def test_simulate_explicit_positions(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "simulate", "--law", "static", "--density", "uniform",
@@ -199,12 +230,15 @@ def test_ill_typed_scenario_values_are_parse_errors(capsys, tmp_path, key, value
     assert repr(key) in error["message"]
 
 
-@pytest.mark.parametrize("argv,code", [(["--positions", "0.1,abc"], 2),
-                                       (["--scenario", "bad.json"], 3)])
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--positions", "0.1,abc"], 2),
+    (["simulate", "--scenario", "bad.json"], 3),
+    (["sweep", "--law", "static", "--init", "all-one", "--n-list=-1,5", "--runs", "1"], 2),
+])
 def test_malformed_input_exits_without_traceback(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text(json.dumps({"n": "abc"}))
     env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "linecover.cli", "simulate", *argv],
+    proc = subprocess.run([sys.executable, "-m", "linecover.cli", *argv],
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -240,7 +274,7 @@ def test_trace_csv_golden_bytes(capsys, tmp_path, law, positions):
     assert code == 0
     n = len(positions)
     trace = run_one(law, resolve_density("quadratic"), np.array(positions),
-                    stop_rule(law, n, 1e-4, 3))
+                    StopRule(tol=1e-4, max_rounds=3))
     header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
     rows = [[str(row.t), *row.positions, row.phi, row.residual_sq,
              "" if row.zsum is None else row.zsum] for row in trace.rows]

@@ -15,13 +15,14 @@ from linecover import (
     loglog_fit,
     optimal_configuration,
     optimality_residual,
+    run_dynamic,
     run_one,
     run_static,
     static_round_budget,
-    stop_rule,
     sweep,
 )
 from linecover.density import DensityField
+from linecover.harness import INIT_MODES
 from linecover.spectral import build_system
 
 
@@ -44,12 +45,28 @@ def test_residual_scales_with_density(uniform_field):
     assert optimality_residual(scaled, [0.2, 0.6]) == pytest.approx(4.5 * base, rel=1e-13)
 
 
-def test_stop_rule_persists_one_token_cycle_for_dynamic_law():
-    assert stop_rule("static", 9, 1e-4, 50) == StopRule(tol=1e-4, max_rounds=50, persist=1)
-    assert stop_rule("static", 9, 1e-4, 50, big_u=12).persist == 1
-    assert stop_rule("dynamic", 9, 1e-4, 50).persist == 9
-    assert stop_rule("dynamic", 9, None, 50, big_u=12) == StopRule(tol=None, max_rounds=50,
-                                                                   persist=12)
+def test_default_persistence_is_one_round_or_one_token_cycle(uniform_field):
+    # the dynamic case of test_tol_stop_waits_for_persistent_streak, where
+    # persist=8 stops at 45: with U unset (U = n = 8) the default waits 8
+    # rounds, with U = 12 it waits 12
+    x0 = initial_positions("random", 8, StreamRng(0, 8, 0), law="dynamic")
+    trace = run_dynamic(uniform_field, x0, StopRule(tol=1e-3, max_rounds=200))
+    assert (trace.stop_reason, trace.final_round) == ("tol", 45)
+
+    def stop_round(persist):
+        stop = StopRule(tol=1e-3, max_rounds=400, persist=persist)
+        return run_dynamic(uniform_field, x0, stop, big_u=12).final_round
+
+    assert stop_round(None) == stop_round(12) == 55
+    assert stop_round(8) == 51
+
+    # the static law moves every agent every round: it stops at the first
+    # round below tol
+    x0 = initial_positions("random", 6, StreamRng(3, 6, 0))
+    free = run_static(uniform_field, x0, StopRule(tol=None, max_rounds=300))
+    first = [row.residual_sq <= 1e-4 for row in free.rows].index(True)
+    trace = run_static(uniform_field, x0, StopRule(tol=1e-4, max_rounds=300))
+    assert (trace.stop_reason, trace.final_round) == ("tol", first)
 
 
 def test_convergence_time_at_optimum(uniform_field):
@@ -61,6 +78,13 @@ def test_convergence_time_at_optimum(uniform_field):
 def test_convergence_time_infinite_tol(uniform_field):
     trace = run_static(uniform_field, [0.1, 0.9], StopRule(tol=1e-6, max_rounds=50))
     assert convergence_time(trace, math.inf) == (0, True)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf, math.nan])
+def test_convergence_time_rejects_nonpositive_tol(uniform_field, tol):
+    trace = run_static(uniform_field, [0.1, 0.9], StopRule(tol=1e-6, max_rounds=5))
+    with pytest.raises(DomainError):
+        convergence_time(trace, tol)
 
 
 def test_convergence_time_not_reached(uniform_field):
@@ -107,6 +131,9 @@ def test_initial_position_modes():
         initial_positions("nonsense", 4)
     with pytest.raises(DomainError):
         initial_positions("random", 4)  # needs a generator
+    for mode in INIT_MODES:
+        with pytest.raises(DomainError):
+            initial_positions(mode, -1, StreamRng(1, -1, 0))
 
 
 def test_rng_stream_is_frozen():
