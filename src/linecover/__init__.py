@@ -6,6 +6,7 @@ from .density import (
     check_positions,
     coverage,
     density_from_dict,
+    gap_vector,
     load_density,
     optimal_configuration,
     quadratic_density,
@@ -46,7 +47,7 @@ from .lifted_chain import (
 )
 from .rng import StreamRng, derive_key
 from .spectral import TridiagonalSystem, build_system, predict_limit, spectrum
-from .static_law import gap_vector, run_static, static_step
+from .static_law import run_static, static_step
 from .trace import ExperimentTrace, StopRule, TraceRow
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, lifted_chain, spectral
-from .density import optimal_configuration, resolve_density
+from .density import optimal_configuration, read_json, resolve_density
 from .errors import DomainError, NumericError, ParseError
 from .trace import ExperimentTrace, StopRule
 
@@ -59,16 +59,7 @@ def canonical_scenario_json(scenario: dict) -> str:
 
 def load_scenario(path: str) -> dict:
     """The fields of a scenario file, each converted to its type."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"scenario file {path} is not valid JSON (line {exc.lineno}, col {exc.colno})"
-        ) from exc
+    data = read_json(path, "scenario")
     if not isinstance(data, dict):
         raise ParseError("scenario file must hold a JSON object")
     unknown = set(data) - set(_SCENARIO_DEFAULTS)
@@ -86,7 +77,7 @@ def load_scenario(path: str) -> dict:
 
 
 def build_scenario(args) -> dict:
-    """Defaults, then the scenario file, then flags; checks the law and stop values."""
+    """Defaults, then the scenario file, then flags; checks law, law fields and stop rule."""
     scenario = {key: default for key, (default, _) in _SCENARIO_DEFAULTS.items()}
     if args.scenario:
         scenario.update(load_scenario(args.scenario))
@@ -94,6 +85,11 @@ def build_scenario(args) -> dict:
     scenario.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
     if scenario["law"] not in ("static", "dynamic"):
         raise DomainError("law must be 'static' or 'dynamic'")
+    if scenario["law"] == "static":
+        dynamic = [k for k in ("U", "variant", "rule")
+                   if scenario[k] != _SCENARIO_DEFAULTS[k][0]]
+        if dynamic:
+            raise DomainError(f"the static law takes no dynamic-law fields {dynamic}")
     StopRule(tol=scenario["tol"], max_rounds=scenario["max_rounds"])  # validates both
     return scenario
 

@@ -350,19 +350,25 @@ def check_positions(positions, n_min: int = 1) -> np.ndarray:
     return x
 
 
+def gap_vector(field: DensityField, positions) -> np.ndarray:
+    """Boundary-doubled mass gaps (2 y_1, y_2 - y_1, ..., 2 (F(1) - y_n)), y = F(x)."""
+    x = check_positions(positions, n_min=1)
+    y = field.cdf(x)
+    d = np.empty(x.size + 1)
+    d[0] = 2.0 * y[0]
+    d[1:-1] = np.diff(y)
+    d[-1] = 2.0 * (field.total_mass - y[-1])
+    return d
+
+
 def coverage(field: DensityField, positions) -> float:
     """Worst-case mass distance from any point of [0, 1] to its nearest agent.
 
     In mass coordinates the nearest-agent distance is piecewise linear with
     local maxima only at the endpoints and the cell midpoints, so the exact
-    value is max(F(x_1), max_i (F(x_{i+1}) - F(x_i))/2, F(1) - F(x_n)).
+    value is half the largest boundary-doubled gap (doubling is exact).
     """
-    x = check_positions(positions, n_min=1)
-    y = field.cdf(x)
-    worst = max(float(y[0]), float(field.total_mass - y[-1]))
-    if x.size > 1:
-        worst = max(worst, float(np.max(np.diff(y))) / 2.0)
-    return worst
+    return float(np.max(gap_vector(field, positions))) / 2.0
 
 
 def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, float]:
@@ -396,6 +402,22 @@ PRESETS = {
 }
 
 
+def read_json(path, kind: str):
+    """Decoded JSON ``kind`` file at ``path``; ParseError if it cannot be read or decoded."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{kind} file {path} is not valid JSON (line {exc.lineno}, col {exc.colno})"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{kind} file {path} nests JSON too deeply") from exc
+
+
 def density_from_dict(data: dict, name: str = "custom") -> DensityField:
     """Build a field from the JSON schema {breakpoints, coefficients}."""
     if not isinstance(data, dict):
@@ -405,23 +427,12 @@ def density_from_dict(data: dict, name: str = "custom") -> DensityField:
             raise ParseError(f"density spec missing field '{key}'")
     try:
         return DensityField(data["breakpoints"], data["coefficients"], name=name)
-    except DomainError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:   # DomainError included
         raise ParseError(f"invalid density spec: {exc}") from exc
 
 
 def load_density(path) -> DensityField:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read density file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"density file {path} is not valid JSON (line {exc.lineno}, col {exc.colno})"
-        ) from exc
-    return density_from_dict(data, name=str(path))
+    return density_from_dict(read_json(path, "density"), name=str(path))
 
 
 def resolve_density(spec: str) -> DensityField:

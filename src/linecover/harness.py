@@ -10,11 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityField
+from .density import DensityField, gap_vector
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
-from .static_law import gap_vector, run_static
+from .static_law import run_static
 from .trace import ExperimentTrace, StopRule
 
 INIT_MODES = ("random-uniform-order-statistics", "all-one", "all-zero-perturbed")

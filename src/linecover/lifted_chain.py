@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DensityField, check_positions
+from .density import DensityField, check_positions, gap_vector
 from .errors import DomainError, NumericError
 from .trace import ExperimentTrace, StopRule, run_rounds
 
@@ -203,21 +203,19 @@ def spreading_min(chain: LiftedChain) -> float:
 def init_z(field: DensityField, positions) -> np.ndarray:
     """Initial mass variables: half of each agent's cell mass, mirrored.
 
-    Cell boundaries sit at the 1-medians of adjacent agents, whose masses
-    are the midpoints (y_i + y_{i+1})/2 of y = F(x); the outer boundaries
-    have masses 0 and F(1). z_i(0) = z_i'(0) = half the cell mass, so the
-    variables sum to F(1) exactly up to roundoff. Initial positions must be
-    distinct for the cells to be well defined; later coincidences created
-    by pushing are fine because initialization runs once.
+    Cell boundaries sit at the 1-medians of adjacent agents, so agent i's
+    cell holds half of each boundary-doubled gap beside it: z_i(0) = z_i'(0)
+    = (d_{i-1} + d_i)/4 with d from ``gap_vector``, summing to F(1). Initial
+    positions must be distinct for the cells to be well defined; later
+    coincidences created by pushing are fine because initialization runs once.
     """
     x = check_positions(positions, n_min=3)
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("initial positions must be distinct for cell setup")
-    y = field.cdf(x)
+    d = gap_vector(field, x)
+    quarter = (d[:-1] + d[1:]) / 4.0
+    z = np.concatenate([quarter, quarter])
     total = field.total_mass
-    bounds = np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [total]])
-    half = np.diff(bounds) / 2.0
-    z = np.concatenate([half, half])
     if abs(float(z.sum()) - total) > 1e-12 * max(1.0, total):
         raise NumericError("initial mass variables do not sum to F(1)")
     return z

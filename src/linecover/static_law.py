@@ -33,19 +33,8 @@ def static_step(field: DensityField, positions) -> np.ndarray:
     # The targets are ordered in exact arithmetic, but the boundary rows
     # round differently from the interior ones, so neighbours can invert one
     # ulp out of order. The running maximum repairs only such inversions;
-    # counting its hits is left to the run telemetry (ROADMAP item 1).
+    # counting its hits is left to the run telemetry (ROADMAP item 3).
     return np.maximum.accumulate(field.inverse_cdf(targets))
-
-
-def gap_vector(field: DensityField, positions) -> np.ndarray:
-    """Boundary-doubled mass gaps (n+1 entries) of a configuration."""
-    x = check_positions(positions, n_min=1)
-    y = field.cdf(x)
-    d = np.empty(x.size + 1)
-    d[0] = 2.0 * y[0]
-    d[1:-1] = np.diff(y)
-    d[-1] = 2.0 * (field.total_mass - y[-1])
-    return d
 
 
 def run_static(field: DensityField, positions0, stop: StopRule) -> ExperimentTrace:

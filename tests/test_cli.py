@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,45 @@ def test_unknown_preset_is_parse_error(capsys):
     code, _, err = run_cli(capsys, ["optimal", "--density", "mystery", "--n", "3"])
     assert code == 3
     assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("spec", [
+    {"breakpoints": "abc", "coefficients": [[1.0]]},
+    {"breakpoints": [0.0, 1.0], "coefficients": [["x"]]},
+    {"breakpoints": [0.0, 1.0], "coefficients": 5},
+    {"breakpoints": [0.0, 1.0], "coefficients": [[10**400]]},
+])
+def test_ill_typed_density_files_are_parse_errors(capsys, tmp_path, spec):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, ["optimal", "--density", str(path), "--n", "3"])
+    assert code == 3
+    error = json.loads(err)
+    assert error["error"] == "parse"
+    assert error["message"].startswith("invalid density spec: ")
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["simulate", "--scenario"], "scenario"),
+    (["optimal", "--n", "3", "--density"], "density"),
+])
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read {} file"),                  # a directory
+    (b"\xff\xfe{}", "cannot read {} file"),          # not UTF-8 text
+    (b"[" * 100_000, "{} file .* nests JSON too deeply"),
+], ids=["directory", "not-utf8", "deep"])
+def test_unreadable_input_files_are_parse_errors(capsys, tmp_path, argv, kind,
+                                                 content, message):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, _, err = run_cli(capsys, argv + [str(path)])   # fails before any output
+    assert code == 3
+    error = json.loads(err)
+    assert error["error"] == "parse"
+    assert re.search(message.format(kind), error["message"])
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -144,6 +184,41 @@ def test_estimate_zero_names_u(capsys, tmp_path, command):
     assert "U = 0" in error["message"]
 
 
+@pytest.mark.parametrize("command", [["simulate", "--n", "5"],
+                                     ["sweep", "--n-list", "5,10", "--runs", "1"]])
+@pytest.mark.parametrize("flags,fields", [
+    (["--big-u", "0"], ["U"]), (["--variant", "figure2"], ["variant"]),
+    (["--rule", "pair"], ["rule"]),
+    (["--big-u", "0", "--variant", "figure2", "--rule", "pair"], ["U", "variant", "rule"]),
+])
+def test_static_law_rejects_dynamic_fields(capsys, tmp_path, command, flags, fields):
+    # the static law has no chain, token or movement rule to use them
+    code, _, err = run_cli(capsys, command + ["--law", "static", *flags,
+                                              "--max-rounds", "5", "--out-dir", str(tmp_path)])
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert str(fields) in error["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["simulate", "--n", "5"],
+                                     ["sweep", "--n-list", "5,10", "--runs", "1"]])
+def test_static_scenario_file_fields(capsys, tmp_path, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"law": "static", "max_rounds": 5, "U": 7}))
+    argv = command + ["--scenario", str(path), "--out-dir", str(tmp_path)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "['U']" in json.loads(err)["message"]
+    # every dynamic-law field at its default value is no conflict
+    path.write_text(json.dumps({"law": "static", "max_rounds": 5000, "U": None,
+                                "variant": "uniformized", "rule": "split"}))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["scenario"]["U"] is None
+
+
 def test_sweep_ignores_the_simulate_agent_count(capsys, tmp_path):
     code, _, err = run_cli(capsys, [
         "sweep", "--n", "1", "--n-list", "5,10", "--runs", "1", "--out-dir", str(tmp_path),
@@ -234,9 +309,12 @@ def test_ill_typed_scenario_values_are_parse_errors(capsys, tmp_path, key, value
     (["simulate", "--positions", "0.1,abc"], 2),
     (["simulate", "--scenario", "bad.json"], 3),
     (["sweep", "--law", "static", "--init", "all-one", "--n-list=-1,5", "--runs", "1"], 2),
+    (["optimal", "--n", "3", "--density", "density.json"], 3),
 ])
 def test_malformed_input_exits_without_traceback(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text(json.dumps({"n": "abc"}))
+    (tmp_path / "density.json").write_text(json.dumps({"breakpoints": [0.0, 1.0],
+                                                       "coefficients": 5}))
     env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "linecover.cli", *argv],
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
