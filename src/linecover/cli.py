@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, lifted_chain, spectral
-from .density import optimal_configuration, read_json, resolve_density
+from .density import optimal_configuration, read_json, resolve_density, typed
 from .errors import DomainError, NumericError, ParseError
 from .trace import ExperimentTrace, StopRule
 
@@ -31,30 +31,14 @@ EXIT_NUMERIC = 4
 _FLOAT = "%.17g"
 
 
-def _typed(kind: type, value):
-    """``value`` as ``kind``: a bool is no number, and an int must be whole."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is list and isinstance(value, list):
-        return [_typed(float, v) for v in value]
-    if (kind is str and isinstance(value, str) or kind is float and number
-            or kind is int and number and float(value).is_integer()):
-        return kind(value)
-    raise TypeError(f"expected {kind.__name__}, got {value!r}")
-
-
 # field -> (default, type); each field is also a flag (U is --big-u), and a
 # field whose default is None also takes null in a scenario file
 _SCENARIO_DEFAULTS = {
     "law": ("static", str), "density": ("uniform", str), "n": (5, int),
-    "init": ("random", str), "positions": (None, list), "seed": (0, int),
+    "init": ("random", str), "positions": (None, [float]), "seed": (0, int),
     "tol": (1e-4, float), "max_rounds": (200_000, int), "U": (None, int),
     "variant": ("uniformized", str), "rule": ("split", str),
 }
-
-
-def canonical_scenario_json(scenario: dict) -> str:
-    """Canonical byte-stable serialization (sorted keys, no whitespace)."""
-    return json.dumps(scenario, sort_keys=True, separators=(",", ":"))
 
 
 def load_scenario(path: str) -> dict:
@@ -70,7 +54,7 @@ def load_scenario(path: str) -> dict:
         default, kind = _SCENARIO_DEFAULTS[key]
         try:
             scenario[key] = (None if value is None and default is None
-                             else _typed(kind, value))
+                             else typed(kind, value))
         except (TypeError, OverflowError) as exc:
             raise ParseError(f"scenario field {key!r}: {exc}") from exc
     return scenario
@@ -92,6 +76,12 @@ def build_scenario(args) -> dict:
             raise DomainError(f"the static law takes no dynamic-law fields {dynamic}")
     StopRule(tol=scenario["tol"], max_rounds=scenario["max_rounds"])  # validates both
     return scenario
+
+
+def _law_options(scenario: dict) -> dict:
+    """The scenario's U, variant and rule as law keywords; the static law takes none."""
+    return {} if scenario["law"] == "static" else dict(
+        big_u=scenario["U"], variant=scenario["variant"], movement_rule=scenario["rule"])
 
 
 def float_list(text: str) -> list[float]:
@@ -161,9 +151,7 @@ def cmd_simulate(args) -> int:
         rng = harness.StreamRng(scenario["seed"], n, 0)
         x0 = harness.initial_positions(scenario["init"], n, rng, law=law)
     stop = StopRule(scenario["tol"], scenario["max_rounds"])
-    trace = harness.run_one(law, field, x0, stop, big_u=scenario["U"],
-                            variant=scenario["variant"],
-                            movement_rule=scenario["rule"])
+    trace = harness.run_one(law, field, x0, stop, **_law_options(scenario))
     rounds, converged = harness.convergence_time(trace, scenario["tol"])
 
     trace_path = _out_path(args, f"{args.prefix}_trace.csv")
@@ -189,8 +177,7 @@ def cmd_sweep(args) -> int:
     table = harness.sweep(scenario["law"], field, args.n_list, args.runs,
                           scenario["init"], scenario["seed"],
                           tol=scenario["tol"], max_rounds=scenario["max_rounds"],
-                          big_u=scenario["U"], variant=scenario["variant"],
-                          movement_rule=scenario["rule"], workers=args.workers)
+                          workers=args.workers, **_law_options(scenario))
     sweep_path = _out_path(args, f"{args.prefix}_sweep.csv")
     write_csv(sweep_path, ["n", "mean_rounds", "std_rounds", "runs"],
               f"%d,{_FLOAT},{_FLOAT},%d",

@@ -418,15 +418,31 @@ def read_json(path, kind: str):
         raise ParseError(f"{kind} file {path} nests JSON too deeply") from exc
 
 
+def typed(kind, value):
+    """JSON ``value`` as ``kind``, where ``[k]`` is a list of k: a bool is no
+    number, and an int must be whole."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return [typed(kind[0], v) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (kind is str and isinstance(value, str) or kind is float and number
+            or kind is int and number and float(value).is_integer()):
+        return kind(value)
+    raise TypeError(f"expected {getattr(kind, '__name__', 'list')}, got {value!r}")
+
+
 def density_from_dict(data: dict, name: str = "custom") -> DensityField:
     """Build a field from the JSON schema {breakpoints, coefficients}."""
     if not isinstance(data, dict):
         raise ParseError("density spec must be a JSON object")
-    for key in ("breakpoints", "coefficients"):
+    kinds = {"breakpoints": [float], "coefficients": [[float]]}
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ParseError(f"density spec has unknown fields: {sorted(unknown)}")
+    for key in kinds:
         if key not in data:
             raise ParseError(f"density spec missing field '{key}'")
     try:
-        return DensityField(data["breakpoints"], data["coefficients"], name=name)
+        return DensityField(*(typed(kinds[k], data[k]) for k in kinds), name=name)
     except (ValueError, TypeError, OverflowError) as exc:   # DomainError included
         raise ParseError(f"invalid density spec: {exc}") from exc
 

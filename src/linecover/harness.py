@@ -130,15 +130,15 @@ def loglog_fit(ns, values) -> FitResult:
     return FitResult(float(slope), float(intercept), r2)
 
 
-def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
-            big_u: int | None = None, variant: str = "uniformized",
-            movement_rule: str = "split") -> ExperimentTrace:
-    """Dispatch a single run of either law."""
+def run_one(law: str, field: DensityField, positions0, stop: StopRule,
+            **options) -> ExperimentTrace:
+    """Dispatch a single run; ``options`` go to the dynamic law's ``initialize_state``."""
+    if law == "static" and options:
+        raise DomainError(f"the static law takes no dynamic-law options {sorted(options)}")
     if law == "static":
         return run_static(field, positions0, stop)
     if law == "dynamic":
-        return run_dynamic(field, positions0, stop, big_u=big_u, variant=variant,
-                           movement_rule=movement_rule)
+        return run_dynamic(field, positions0, stop, **options)
     raise DomainError(f"unknown law {law!r}")
 
 
@@ -158,21 +158,19 @@ def _sweep_cell(law: str, field: DensityField, init_mode: str, seed: int, tol: f
 
 def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
           seed: int, *, tol: float = 1e-4, max_rounds: int = 200_000,
-          big_u: int | None = None, variant: str = "uniformized",
-          movement_rule: str = "split", workers: int = 1) -> SweepTable:
+          workers: int = 1, **options) -> SweepTable:
     """Measure convergence rounds over (n, run) cells and fit the scaling.
 
     Every cell draws from the substream keyed by (seed, n, run), so tables
     are identical for identical arguments regardless of worker count or
-    completion order.
+    completion order. Each cell is one :func:`run_one` call with ``options``.
     """
     if runs < 1:
         raise DomainError("runs must be at least 1")
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")
-    cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds,
-                   dict(big_u=big_u, variant=variant, movement_rule=movement_rule))
+    cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds, options)
     ns = [n for n in n_list for _ in range(runs)]
     run_ids = list(range(runs)) * len(n_list)
     if workers > 1:

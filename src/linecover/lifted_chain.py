@@ -301,9 +301,7 @@ def add_agent(state: DynamicState, x_new: float) -> DynamicState:
     n = state.n
     idx = int(np.searchsorted(state.positions, x_new, side="right"))
     state.positions = np.insert(state.positions, idx, x_new)
-    unprimed = np.insert(state.z[:n], idx, 0.0)
-    primed = np.insert(state.z[n:], idx, 0.0)
-    state.z = np.concatenate([unprimed, primed])
+    state.z = np.insert(state.z.reshape(2, n), idx, 0.0, axis=1).ravel()
     state.chain = build_chain(n + 1, state.chain.big_u, state.chain.variant)
     return state
 
@@ -321,12 +319,11 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
         raise DomainError("removal would drop the agent count below 3")
     if not 1 <= i <= n:
         raise DomainError(f"agent index must be in 1..{n}")
-    removed = float(state.z[i - 1] + state.z[n + i - 1])
-    recipient = i - 2 if i >= 2 else 1
-    unprimed = state.z[:n].copy()
-    primed = state.z[n:].copy()
-    unprimed[recipient] += removed
-    state.z = np.concatenate([np.delete(unprimed, i - 1), np.delete(primed, i - 1)])
+    tracks = state.z.reshape(2, n)
+    removed = float(tracks[0, i - 1] + tracks[1, i - 1])
+    tracks = np.delete(tracks, i - 1, axis=1)
+    tracks[0, i - 2 if i >= 2 else 0] += removed
+    state.z = tracks.ravel()
     state.positions = np.delete(state.positions, i - 1)
     state.chain = build_chain(n - 1, state.chain.big_u, state.chain.variant)
     return state
@@ -347,15 +344,12 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
-    return run_rounds("dynamic", field, state.positions,
-                      lambda x: step_round(field, state).positions, stop,
-                      t=state.round_index, zsum=lambda: state.zsum)
+    return run_rounds(field, state.positions, lambda x: step_round(field, state).positions,
+                      stop, t=state.round_index, zsum=lambda: state.zsum)
 
 
-def run_dynamic(field: DensityField, positions0, stop: StopRule, *,
-                big_u: int | None = None, variant: str = "uniformized",
-                movement_rule: str = "split") -> ExperimentTrace:
-    """Initialize from positions0 and simulate until the stop rule fires."""
-    state = initialize_state(field, positions0, big_u=big_u, variant=variant,
-                             movement_rule=movement_rule)
-    return simulate_dynamic(field, state, stop)
+def run_dynamic(field: DensityField, positions0, stop: StopRule,
+                **options) -> ExperimentTrace:
+    """Initialize from positions0 and simulate until the stop rule fires;
+    ``options`` (U, variant, movement rule) go to :func:`initialize_state`."""
+    return simulate_dynamic(field, initialize_state(field, positions0, **options), stop)

@@ -40,4 +40,4 @@ def static_step(field: DensityField, positions) -> np.ndarray:
 def run_static(field: DensityField, positions0, stop: StopRule) -> ExperimentTrace:
     """Iterate the static law until the stop rule fires."""
     x = check_positions(positions0, n_min=2)
-    return run_rounds("static", field, x, lambda x: static_step(field, x), stop)
+    return run_rounds(field, x, lambda x: static_step(field, x), stop)

@@ -55,7 +55,6 @@ class ExperimentTrace:
     round for continuations after agent churn.
     """
 
-    law: str
     metadata: dict
     rows: list[TraceRow] = field(default_factory=list)
     stop_reason: str = ""
@@ -73,7 +72,7 @@ class ExperimentTrace:
         return self.rows[-1].phi
 
 
-def run_rounds(law: str, field: DensityField, positions: np.ndarray,
+def run_rounds(field: DensityField, positions: np.ndarray,
                step: Callable[[np.ndarray], np.ndarray], stop: StopRule, *,
                t: int = 0, zsum: Callable[[], float] | None = None) -> ExperimentTrace:
     """Advance a run round by round until the stop rule fires.
@@ -90,7 +89,7 @@ def run_rounds(law: str, field: DensityField, positions: np.ndarray,
     x = positions
     xstar, phi_star = optimal_configuration(field, x.size)
     total = field.total_mass
-    trace = ExperimentTrace(law=law, metadata={"phi_star": phi_star})
+    trace = ExperimentTrace(metadata={"phi_star": phi_star})
     persist = 1 if stop.persist is None else stop.persist
     streak = 0
     for k in range(stop.max_rounds + 1):

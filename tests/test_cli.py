@@ -13,7 +13,7 @@ import pytest
 
 import linecover
 from linecover import StopRule, build_chain, resolve_density, run_one, stationary
-from linecover.cli import canonical_scenario_json, main
+from linecover.cli import main
 
 
 def run_cli(capsys, argv):
@@ -64,6 +64,21 @@ def test_ill_typed_density_files_are_parse_errors(capsys, tmp_path, spec):
     error = json.loads(err)
     assert error["error"] == "parse"
     assert error["message"].startswith("invalid density spec: ")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"breakpoints": [0.0, 1.0], "coefficients": [[1.0]], "extra": 1},
+     "density spec has unknown fields: ['extra']"),
+    ({"breakpoints": [False, True], "coefficients": [[True]]},
+     "invalid density spec: expected float, got False"),
+], ids=["unknown-field", "booleans"])
+def test_density_files_take_only_typed_known_fields(capsys, tmp_path, spec, message):
+    # the scenario files' rule: no unknown fields, and a bool is no number
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, ["optimal", "--density", str(path), "--n", "2"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "parse", "message": message}
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -252,7 +267,7 @@ def test_scenario_file_round_trip(capsys, tmp_path):
                 "seed": 9, "tol": 1e-5, "max_rounds": 5000,
                 "U": 4, "variant": "uniformized", "rule": "split"}
     path = tmp_path / "scenario.json"
-    path.write_text(canonical_scenario_json(scenario))
+    path.write_text(json.dumps(scenario, sort_keys=True))
     code, out, _ = run_cli(capsys, [
         "simulate", "--scenario", str(path), "--out-dir", str(tmp_path),
     ])
@@ -260,7 +275,7 @@ def test_scenario_file_round_trip(capsys, tmp_path):
     parsed = json.loads(out)["scenario"]
     merged = dict(scenario)
     merged["positions"] = None
-    assert canonical_scenario_json(parsed) == canonical_scenario_json(merged)
+    assert parsed == merged
 
 
 @pytest.mark.parametrize("flag", ["--tol=0", "--tol=-1e-3", "--max-rounds=0"])
@@ -310,11 +325,14 @@ def test_ill_typed_scenario_values_are_parse_errors(capsys, tmp_path, key, value
     (["simulate", "--scenario", "bad.json"], 3),
     (["sweep", "--law", "static", "--init", "all-one", "--n-list=-1,5", "--runs", "1"], 2),
     (["optimal", "--n", "3", "--density", "density.json"], 3),
+    (["optimal", "--n", "3", "--density", "bool_density.json"], 3),
 ])
 def test_malformed_input_exits_without_traceback(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text(json.dumps({"n": "abc"}))
     (tmp_path / "density.json").write_text(json.dumps({"breakpoints": [0.0, 1.0],
                                                        "coefficients": 5}))
+    (tmp_path / "bool_density.json").write_text(json.dumps({"breakpoints": [False, True],
+                                                            "coefficients": [[True]]}))
     env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "linecover.cli", *argv],
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)

@@ -1,6 +1,7 @@
 """Harness: residuals, convergence timing, init modes, seeded sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,10 +191,10 @@ def test_phi_never_below_optimum(uniform_field):
 
 def test_run_one_dispatch(uniform_field):
     trace = run_one("static", uniform_field, [0.2, 0.8], StopRule(max_rounds=5))
-    assert trace.law == "static"
+    assert trace.rows[0].zsum is None
     trace = run_one("dynamic", uniform_field, [0.2, 0.5, 0.8],
                     StopRule(max_rounds=5))
-    assert trace.law == "dynamic"
+    assert trace.rows[0].zsum is not None
     with pytest.raises(DomainError):
         run_one("quantum", uniform_field, [0.2, 0.8], StopRule())
 
@@ -218,6 +219,23 @@ def test_sweep_parallel_matches_serial(uniform_field):
     parallel = sweep("static", uniform_field, [4, 6], runs=2,
                      init_mode="random", seed=5, workers=2)
     assert serial == parallel
+    # the dynamic law's options reach every cell through the pool
+    big_u = [sweep("dynamic", uniform_field, [4, 6], runs=2, init_mode="random",
+                   seed=5, workers=workers, big_u=8) for workers in (1, 2)]
+    assert big_u[0] == big_u[1]
+    assert big_u[0] != sweep("dynamic", uniform_field, [4, 6], runs=2,
+                             init_mode="random", seed=5)
+
+
+@pytest.mark.parametrize("option", [{"variant": "figure2"}, {"big_u": 3},
+                                    {"movement_rule": "pair"}])
+def test_static_law_refuses_dynamic_options(uniform_field, option):
+    name = re.escape(repr(sorted(option)))
+    with pytest.raises(DomainError, match=name):
+        run_one("static", uniform_field, [0.2, 0.8], StopRule(max_rounds=5), **option)
+    with pytest.raises(DomainError, match=name):
+        sweep("static", uniform_field, [4, 6], runs=1, init_mode="random", seed=1,
+              **option)
 
 
 def test_sweep_dynamic_smoke(uniform_field):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecover import (
@@ -209,3 +209,33 @@ def test_midrun_agent_churn_reconverges(random_field_factory):
     trace = run_static(field, inserted, StopRule(tol=1e-12, max_rounds=20000))
     xstar7, _ = optimal_configuration(field, 7)
     assert np.max(np.abs(trace.final_positions - xstar7)) <= 1e-5
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_random_churn_keeps_order_and_reconverges(data):
+    # the static half of the churn property: the law has no state beyond the
+    # positions, so an agent joins or leaves by editing the configuration
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    field = make_random_field(StreamRng(seed))
+    n0 = data.draw(st.integers(2, 6), label="n0")
+    mode = data.draw(st.sampled_from(INIT_MODES), label="init")
+    x = initial_positions(mode, n0, StreamRng(seed, n0))
+    for _ in range(data.draw(st.integers(1, 8), label="events")):
+        event = data.draw(st.sampled_from(["rounds", "add", "remove"]))
+        if event == "rounds":
+            for _ in range(data.draw(st.integers(1, 10))):
+                x = static_step(field, x)
+                assert np.all(np.diff(x) >= 0.0)
+        elif event == "add":
+            x_new = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *x.tolist()]),
+                                        st.floats(0.0, 1.0)))
+            x = np.insert(x, np.searchsorted(x, x_new, side="right"), x_new)
+        elif x.size >= 3:
+            x = np.delete(x, data.draw(st.integers(0, x.size - 1)))
+        assert np.all(np.diff(x) >= 0.0)
+
+    trace = run_static(field, x, StopRule(tol=1e-10, max_rounds=30_000))
+    assert trace.stop_reason == "tol"
+    phi_star = optimal_configuration(field, x.size)[1]
+    assert abs(trace.final_phi - phi_star) <= 1e-3 * phi_star
