@@ -61,12 +61,17 @@ def load_scenario(path: str) -> dict:
 
 
 def build_scenario(args) -> dict:
-    """Defaults, then the scenario file, then flags; checks law, law fields and stop rule."""
-    scenario = {key: default for key, (default, _) in _SCENARIO_DEFAULTS.items()}
-    if args.scenario:
-        scenario.update(load_scenario(args.scenario))
+    """Defaults, then the scenario file, then flags; checks law, law fields,
+    agent count and stop rule. Explicit positions set n."""
+    given = load_scenario(args.scenario) if args.scenario else {}
     flags = dict(vars(args), U=args.big_u)
-    scenario.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
+    given.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
+    scenario = {key: given.get(key, default) for key, (default, _) in _SCENARIO_DEFAULTS.items()}
+    if scenario["positions"] is not None:
+        count = len(scenario["positions"])
+        if given.get("n", count) != count:
+            raise DomainError(f"n = {given['n']} does not match the {count} positions given")
+        scenario["n"] = count
     if scenario["law"] not in ("static", "dynamic"):
         raise DomainError("law must be 'static' or 'dynamic'")
     if scenario["law"] == "static":

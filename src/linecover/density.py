@@ -6,11 +6,10 @@ polynomial coefficients of degree at most 4. The cumulative mass
 
     F(x) = integral of rho from 0 to x
 
-is evaluated from the closed-form antiderivative, so the mass metric
-``|F(b) - F(a)|``, its inverse, weighted medians, and coverage all carry
-roundoff error only, never quadrature error. Relative to ordinary distance
-the mass metric stretches regions where rho is large and shrinks regions
-where it is small.
+is evaluated from the closed-form antiderivative, so F, its inverse, the
+mass gaps between agents and coverage all carry roundoff error only, never
+quadrature error. Relative to ordinary distance, mass coordinates y = F(x)
+stretch regions where rho is large and shrink regions where it is small.
 
 Densities may touch zero at isolated points (the ``quadratic`` preset does,
 at the origin), but every segment must carry strictly positive mass so that
@@ -297,42 +296,6 @@ class DensityField:
             step_prev = abs(nxt - x)
             x = nxt
         return x
-
-    # ------------------------------------------------------------------
-    # derived geometry
-    # ------------------------------------------------------------------
-
-    def mass(self, a: float, b: float) -> float:
-        """Mass-metric distance |F(b) - F(a)| between two points."""
-        fa, fb = self.cdf(a), self.cdf(b)
-        return abs(fb - fa)
-
-    def alpha_median(self, a: float, b: float, alpha: float) -> float:
-        """Point c in [a, b] whose left mass is alpha times its right mass.
-
-        Satisfies F(c) = (F(a) + alpha F(b)) / (1 + alpha). A degenerate
-        interval (a >= b) returns a, so the control laws stay total when
-        agents coincide.
-        """
-        if not alpha >= 0.0:
-            raise DomainError("alpha must be nonnegative")
-        if a >= b:
-            _inside(a)
-            return float(a)
-        target = (self.cdf(a) + alpha * self.cdf(b)) / (1.0 + alpha)
-        return float(self.inverse_cdf(target))
-
-    def spec(self) -> dict:
-        """JSON-ready description (breakpoints + per-segment coefficients)."""
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "coefficients": [list(r[: self._true_len(r)]) for r in self._rho_rows],
-        }
-
-    @staticmethod
-    def _true_len(row: np.ndarray) -> int:
-        nz = np.nonzero(row)[0]
-        return int(nz[-1]) + 1 if nz.size else 1
 
 
 # ----------------------------------------------------------------------

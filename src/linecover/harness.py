@@ -167,6 +167,8 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
     """
     if runs < 1:
         raise DomainError("runs must be at least 1")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")

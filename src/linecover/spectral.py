@@ -7,8 +7,9 @@ diag(w) P is symmetric, because P_ij = w_ij / w_i for the edge weights of an
 undirected line graph (unit self-loops at nodes 1, 2, k-1, k; weight-2 end
 edges; weight-3 interior edges). Its spectrum is therefore real, the top
 eigenvalue is 1 with the all-ones eigenvector, and the remaining eigenvalue
-moduli are bounded by 1 - 1/(3 k^2), which fixes the static law's
-convergence rate.
+moduli are bounded by 1 - 1/(3 k^2), which bounds the static law's
+convergence rate. The bound is loose: the spectral gap 1 - max |lambda| is
+close to pi^2 / (2 (k - 1)^2), about 15 times wider.
 
 Eigenvalues are computed on the symmetrized tridiagonal matrix
 S = D^{1/2} P D^{-1/2} with ``numpy.linalg.eigvalsh``: once S is verified

@@ -25,7 +25,14 @@ def quadratic_field():
 
 
 def make_random_field(rng: StreamRng, max_segments: int = 4, degree: int = 4) -> DensityField:
-    """Random piecewise-polynomial density with min >= 0.25 on every segment.
+    """The field of :func:`random_field_spec` for the same draws."""
+    return DensityField(*random_field_spec(rng, max_segments, degree), name="random")
+
+
+def random_field_spec(rng: StreamRng, max_segments: int = 4,
+                      degree: int = 4) -> tuple[list[float], list[list[float]]]:
+    """Breakpoints and coefficient lists of a random piecewise-polynomial
+    density with min >= 0.25 on every segment.
 
     Coefficients above degree zero are drawn in [-2, 2]; the constant term
     is then shifted so the exact per-segment minimum (via derivative roots)
@@ -50,7 +57,7 @@ def make_random_field(rng: StreamRng, max_segments: int = 4, degree: int = 4) ->
         low = min(sum(ck * x**k for k, ck in enumerate(c)) for x in candidates)
         c[0] = 0.25 - low
         coefs.append(c.tolist())
-    return DensityField(bp, coefs, name="random")
+    return bp, coefs
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 
 import linecover
 from linecover import StopRule, build_chain, resolve_density, run_one, stationary
-from linecover.cli import main
+from linecover.cli import entrypoint, main
 
 
 def run_cli(capsys, argv):
@@ -107,6 +107,15 @@ def test_unreadable_input_files_are_parse_errors(capsys, tmp_path, argv, kind,
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, ["optimal", "--wat", "1"])
     assert code == 2
+
+
+def test_console_entrypoint_exits_with_main_code(capsys, monkeypatch):
+    # pyproject.toml installs entrypoint() as the linecover script
+    monkeypatch.setattr(sys, "argv", ["linecover", "optimal", "--n", "3"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 0
+    assert "phi_star" in json.loads(capsys.readouterr().out)
 
 
 def test_nonconverging_sweep_is_numeric_error(capsys, tmp_path):
@@ -260,6 +269,30 @@ def test_simulate_explicit_positions(capsys, tmp_path):
     ])
     assert code == 0
     assert json.loads(out)["final_phi"] == pytest.approx(0.25, abs=1e-3)
+
+
+@pytest.mark.parametrize("n_flag", [[], ["--n", "3"]])
+def test_simulate_echoes_the_positions_count(capsys, tmp_path, n_flag):
+    # used to echo the flag's n, or the default 5, while running 3 agents
+    code, out, err = run_cli(capsys, ["simulate", "--positions", "0.1,0.5,0.9", *n_flag,
+                                      "--max-rounds", "3", "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert json.loads(out)["scenario"]["n"] == 3
+
+
+@pytest.mark.parametrize("flags,file", [
+    (["--n", "7", "--positions", "0.1,0.5,0.9"], None),
+    ([], {"n": 7, "positions": [0.1, 0.5, 0.9]}),
+], ids=["flags", "file"])
+def test_simulate_rejects_n_other_than_the_positions_count(capsys, tmp_path, flags, file):
+    if file is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(file))
+        flags = [*flags, "--scenario", str(path)]
+    code, _, err = run_cli(capsys, ["simulate", *flags, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err)["message"] == "n = 7 does not match the 3 positions given"
+    assert not (tmp_path / "simulate_summary.json").exists()
 
 
 def test_scenario_file_round_trip(capsys, tmp_path):

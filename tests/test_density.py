@@ -1,4 +1,4 @@
-"""Mass geometry: metric, cdf/inverse, medians, coverage, optimal layout."""
+"""Mass geometry: cdf/inverse, coverage, optimal layout, density files."""
 
 import json
 
@@ -20,46 +20,22 @@ from linecover import (
     resolve_density,
 )
 
-from conftest import make_random_field
+from conftest import make_random_field, random_field_spec
 
 
 # ----------------------------------------------------------------------
-# mass / cdf / inverse
+# cumulative mass F and its inverse
 # ----------------------------------------------------------------------
-
-def test_mass_uniform_interval(uniform_field):
-    assert uniform_field.mass(0.2, 0.7) == pytest.approx(0.5, abs=1e-15)
-
 
 def test_mass_quadratic_closed_form(quadratic_field):
-    # antiderivative x^3/3: mass(0, 0.5) = 0.5^3 / 3
-    assert quadratic_field.mass(0.0, 0.5) == pytest.approx(1.0 / 24.0, abs=1e-16)
-
-
-def test_mass_identity_and_symmetry(quadratic_field):
-    assert quadratic_field.mass(0.37, 0.37) == 0.0
-    assert quadratic_field.mass(0.1, 0.9) == quadratic_field.mass(0.9, 0.1)
+    # antiderivative x^3/3: F(0.5) = 0.5^3 / 3
+    assert quadratic_field.cdf(0.5) == pytest.approx(1.0 / 24.0, abs=1e-16)
 
 
 def test_mass_domain_error(uniform_field):
-    with pytest.raises(DomainError):
-        uniform_field.mass(-0.2, 0.5)
-    with pytest.raises(DomainError):
-        uniform_field.mass(0.2, 1.5)
-
-
-def test_metric_axioms_random_triples(random_field_factory):
-    rng = StreamRng(314)
-    field = random_field_factory(StreamRng(314, 1))
-    for _ in range(120):
-        a, b, c = sorted(rng.uniforms(3))
-        assert field.mass(a, b) >= 0.0
-        assert field.mass(a, b) == field.mass(b, a)
-        # triangle inequality, with equality for the middle point
-        lhs = field.mass(a, c)
-        rhs = field.mass(a, b) + field.mass(b, c)
-        assert lhs <= rhs + 1e-14
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+    for x in (-0.2, 1.5, np.array([0.5, 1.5])):
+        with pytest.raises(DomainError):
+            uniform_field.cdf(x)
 
 
 def test_inverse_cdf_uniform_is_identity(uniform_field):
@@ -98,11 +74,10 @@ NAN = float("nan")
     lambda f: f.cdf(np.array([0.5, NAN])),
     lambda f: f.inverse_cdf(NAN),
     lambda f: f.inverse_cdf(np.array([0.5, NAN])),
-    lambda f: f.alpha_median(0.1, 0.9, NAN),
     lambda f: DensityField([0.0, NAN, 1.0], [[1.0], [1.0]]),
     lambda f: DensityField([NAN, 0.5, 1.0], [[1.0], [1.0]]),
 ], ids=["check_positions", "coverage", "rho", "cdf", "cdf_vector", "inverse",
-        "inverse_vector", "alpha_median", "breakpoint", "first_breakpoint"])
+        "inverse_vector", "breakpoint", "first_breakpoint"])
 def test_nan_fails_every_range_check(uniform_field, call):
     with pytest.raises(DomainError):
         call(uniform_field)
@@ -175,50 +150,6 @@ def test_cdf_endpoints_and_monotonicity(random_field_factory):
 
 
 # ----------------------------------------------------------------------
-# alpha-median
-# ----------------------------------------------------------------------
-
-def test_alpha_median_uniform_symmetry(uniform_field):
-    assert uniform_field.alpha_median(0.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_alpha_median_quadratic_closed_form(quadratic_field):
-    # F(c) = (0 + 1/3) / 2 = 1/6 so c = 2^(-1/3)
-    got = quadratic_field.alpha_median(0.0, 1.0, 1.0)
-    assert got == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-13)
-
-
-def test_alpha_median_uniform_half(uniform_field):
-    # F(c) = (0 + 0.5 * 0.6) / 1.5 = 0.2
-    assert uniform_field.alpha_median(0.0, 0.6, 0.5) == pytest.approx(0.2, abs=1e-14)
-
-
-def test_alpha_median_degenerate_interval(uniform_field):
-    assert uniform_field.alpha_median(0.3, 0.3, 1.0) == 0.3
-    assert uniform_field.alpha_median(0.4, 0.2, 2.0) == 0.4
-
-
-def test_alpha_median_rejects_negative_alpha(uniform_field):
-    with pytest.raises(DomainError):
-        uniform_field.alpha_median(0.1, 0.9, -0.5)
-
-
-def test_median_identity_random(random_field_factory):
-    field = random_field_factory(StreamRng(33))
-    rng = StreamRng(34)
-    f1 = field.total_mass
-    for _ in range(200):
-        a, b = sorted(rng.uniforms(2))
-        alpha = 4.0 * rng.uniform()
-        if a == b:
-            continue
-        c = field.alpha_median(a, b, alpha)
-        want = (field.cdf(a) + alpha * field.cdf(b)) / (1.0 + alpha)
-        assert abs(field.cdf(c) - want) <= 1e-12 * f1
-        assert a <= c <= b
-
-
-# ----------------------------------------------------------------------
 # coverage and the optimal configuration
 # ----------------------------------------------------------------------
 
@@ -283,12 +214,11 @@ def test_optimal_configuration_rejects_zero_agents(uniform_field):
         optimal_configuration(uniform_field, 0)
 
 
-def test_scale_equivariance_of_optimum(random_field_factory):
-    field = random_field_factory(StreamRng(70))
+def test_scale_equivariance_of_optimum():
+    breakpoints, coefficients = random_field_spec(StreamRng(70))
+    field = DensityField(breakpoints, coefficients)
     lam = 3.7
-    spec = field.spec()
-    scaled = DensityField(spec["breakpoints"],
-                          [[lam * c for c in row] for row in spec["coefficients"]])
+    scaled = DensityField(breakpoints, [[lam * c for c in row] for row in coefficients])
     for n in (1, 4, 9):
         x1, phi1 = optimal_configuration(field, n)
         x2, phi2 = optimal_configuration(scaled, n)
@@ -324,10 +254,11 @@ def test_construction_allows_isolated_zero():
     assert field.rho_max == 1.0
 
 
-def test_density_json_round_trip(tmp_path, random_field_factory):
-    field = random_field_factory(StreamRng(81))
+def test_density_json_round_trip(tmp_path):
+    breakpoints, coefficients = random_field_spec(StreamRng(81))
+    field = DensityField(breakpoints, coefficients)
     path = tmp_path / "field.json"
-    path.write_text(json.dumps(field.spec()))
+    path.write_text(json.dumps({"breakpoints": breakpoints, "coefficients": coefficients}))
     loaded = load_density(path)
     x = np.linspace(0.0, 1.0, 101)
     assert np.allclose(loaded.cdf(x), field.cdf(x), atol=1e-15)
@@ -350,6 +281,5 @@ def test_presets_resolve():
 
 
 def test_random_field_factory_is_deterministic():
-    a = make_random_field(StreamRng(99))
-    b = make_random_field(StreamRng(99))
-    assert a.spec() == b.spec()
+    # make_random_field builds its field from this spec
+    assert random_field_spec(StreamRng(99)) == random_field_spec(StreamRng(99))

@@ -247,3 +247,11 @@ def test_sweep_dynamic_smoke(uniform_field):
 def test_sweep_rejects_zero_runs(uniform_field):
     with pytest.raises(DomainError):
         sweep("static", uniform_field, [4], runs=0, init_mode="random", seed=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(uniform_field, workers):
+    # used to run serially
+    with pytest.raises(DomainError, match="workers"):
+        sweep("static", uniform_field, [4, 6], runs=1, init_mode="random", seed=1,
+              workers=workers)

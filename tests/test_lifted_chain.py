@@ -1,6 +1,7 @@
 """Lifted-chain law: construction, stationarity, movement, churn, mixing."""
 
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +36,7 @@ from linecover import (
 from linecover.harness import INIT_MODES
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 
+import exact
 from conftest import make_random_field
 
 
@@ -116,13 +118,17 @@ def test_init_z_sums_to_total_mass(random_field_factory):
     assert np.all(z >= 0.0)
 
 
-def test_init_z_cells_end_at_one_medians(random_field_factory):
-    # the mass-coordinate cells match cells bounded by alpha_median(., ., 1)
-    field = random_field_factory(StreamRng(303))
+def test_init_z_cells_end_at_one_medians():
+    # agent i's cell runs between the 1-medians of its neighbour pairs, where
+    # F is the mean of theirs; z_i = z_i' is half the cell's mass
+    field, exact_field = exact.field_pair([0.0, 0.3125, 0.6875, 1.0], [2, 5, 1])
     x = np.sort(np.array(StreamRng(304).uniforms(9)))
-    medians = [field.alpha_median(a, b, 1.0) for a, b in zip(x[:-1], x[1:])]
-    cells = np.diff(field.cdf(np.array([0.0, *medians, 1.0])))
-    assert np.max(np.abs(init_z(field, x)[:9] - cells / 2.0)) <= 1e-15
+    y = [exact_field.cdf(Fraction(v)) for v in x]
+    edges = [0, *((a + b) / 2 for a, b in zip(y, y[1:])), exact_field.total]
+    cells = [(b - a) / 2 for a, b in zip(edges, edges[1:])]
+    want = exact.init_z(exact_field, [Fraction(v) for v in x])
+    assert want == cells + cells
+    assert exact.max_error(init_z(field, x), want) <= 2.0 ** -52
 
 
 def test_init_z_rejects_coincident_positions(uniform_field):

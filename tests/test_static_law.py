@@ -1,5 +1,7 @@
 """Median update law: step examples, gap dynamics, convergence, robustness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from linecover import (
 from linecover.harness import INIT_MODES
 from linecover.spectral import build_system
 
-from conftest import make_random_field
+import exact
+from conftest import make_random_field, random_field_spec
 
 
 def test_step_two_agents_by_hand(uniform_field):
@@ -40,16 +43,13 @@ def test_step_coincident_agents(uniform_field):
     assert got == pytest.approx([0.1, 0.3, 2.3 / 3.0], abs=1e-14)
 
 
-def test_step_matches_per_agent_medians(random_field_factory):
-    field = random_field_factory(StreamRng(101))
-    rng = StreamRng(102)
-    x = np.sort(np.array(rng.uniforms(7)))
-    stepped = static_step(field, x)
-    assert stepped[0] == pytest.approx(field.alpha_median(0.0, x[1], 0.5), abs=1e-13)
-    for i in range(1, 6):
-        assert stepped[i] == pytest.approx(
-            field.alpha_median(x[i - 1], x[i + 1], 1.0), abs=1e-13)
-    assert stepped[6] == pytest.approx(field.alpha_median(x[5], 1.0, 2.0), abs=1e-13)
+def test_step_matches_per_agent_medians():
+    # the exact step moves agents to the 1/2-median of (0, x_2), the
+    # 1-medians of their neighbours and the 2-median of (x_{n-1}, 1)
+    field, exact_field = exact.field_pair([0.0, 0.3125, 0.6875, 1.0], [2, 5, 1])
+    x = np.sort(np.array(StreamRng(102).uniforms(7)))
+    want = exact.static_step(exact_field, [Fraction(v) for v in x])
+    assert exact.max_error(static_step(field, x), want) <= 2.0 * 2.0 ** -52
 
 
 def test_step_rejects_single_agent(uniform_field):
@@ -134,11 +134,10 @@ def test_gaps_converge_to_common_value(random_field_factory):
     assert np.max(np.abs(d - field.total_mass / n)) <= 1e-6 * field.total_mass
 
 
-def test_step_invariant_under_density_scaling(random_field_factory):
-    field = random_field_factory(StreamRng(150))
-    spec = field.spec()
-    scaled = DensityField(spec["breakpoints"],
-                          [[7.25 * c for c in row] for row in spec["coefficients"]])
+def test_step_invariant_under_density_scaling():
+    breakpoints, coefficients = random_field_spec(StreamRng(150))
+    field = DensityField(breakpoints, coefficients)
+    scaled = DensityField(breakpoints, [[7.25 * c for c in row] for row in coefficients])
     rng = StreamRng(151)
     x = np.sort(np.array(rng.uniforms(8)))
     for _ in range(10):
