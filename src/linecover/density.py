@@ -313,15 +313,18 @@ def check_positions(positions, n_min: int = 1) -> np.ndarray:
     return x
 
 
-def gap_vector(field: DensityField, positions) -> np.ndarray:
-    """Boundary-doubled mass gaps (2 y_1, y_2 - y_1, ..., 2 (F(1) - y_n)), y = F(x)."""
-    x = check_positions(positions, n_min=1)
-    y = field.cdf(x)
-    d = np.empty(x.size + 1)
-    d[0] = 2.0 * y[0]
-    d[1:-1] = np.diff(y)
-    d[-1] = 2.0 * (field.total_mass - y[-1])
+def mass_gaps(masses: np.ndarray, total: float) -> np.ndarray:
+    """Boundary-doubled gaps (2 y_1, y_2 - y_1, ..., 2 (total - y_n)) of masses y."""
+    d = np.empty(masses.size + 1)
+    d[0] = 2.0 * masses[0]
+    d[1:-1] = np.diff(masses)
+    d[-1] = 2.0 * (total - masses[-1])
     return d
+
+
+def gap_vector(field: DensityField, positions) -> np.ndarray:
+    """Boundary-doubled mass gaps of the configuration, in y = F(x)."""
+    return mass_gaps(field.cdf(check_positions(positions, n_min=1)), field.total_mass)
 
 
 def coverage(field: DensityField, positions) -> float:

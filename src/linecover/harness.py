@@ -76,7 +76,7 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
     if mode == "random-uniform-order-statistics":
         if rng is None:
             raise DomainError("random init needs a seeded generator")
-        return np.sort(np.array(rng.uniforms(n)))
+        return np.sort(rng.uniforms(n))
     if mode == "all-one":
         if law == "dynamic":
             return 1.0 - _RAMP * np.arange(n - 1, -1, -1, dtype=float)

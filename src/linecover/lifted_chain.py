@@ -99,13 +99,19 @@ class LiftedChain:
 
 @dataclass
 class DynamicState:
-    """Mutable per-run state: chain, mass variables, positions, round."""
+    """Mutable per-run state: chain, mass variables, positions, round.
+
+    ``masses`` carries the agents' y = F(positions) from round to round;
+    None means not mapped yet. Code that changes ``positions`` outside a
+    round, as churn does, resets it to None.
+    """
 
     chain: LiftedChain
     z: np.ndarray
     positions: np.ndarray
     round_index: int = 0
     movement_rule: str = "split"
+    masses: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -248,6 +254,14 @@ def chain_step(state: DynamicState) -> DynamicState:
     return state
 
 
+def _carried_masses(field: DensityField, state: DynamicState) -> np.ndarray:
+    """The state's masses y = F(positions), mapped from the validated
+    positions when they are not carried yet."""
+    if state.masses is None:
+        state.masses = field.cdf(check_positions(state.positions))
+    return state.masses
+
+
 def token_index(t: int, big_u: int) -> int:
     """Index of the agent holding the movement token at round t >= 1."""
     return (t - 1) % big_u + 1
@@ -258,7 +272,9 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
 
     Agent j moves to c with F(c) = min(F(1), F(x_{j-1}) + M_j), where M_j
     is z_j + z_j' (pair rule) or z_{(j-1)'} + z_j (split rule, z_0' = 0).
-    Rounds whose token exceeds n are communication-only.
+    F(x_{j-1}) is read from the carried masses, and the moved and pushed
+    agents all take y = F(c). Rounds whose token exceeds n are
+    communication-only.
     """
     t = state.round_index
     if t < 1:
@@ -272,15 +288,19 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
     else:
         left_primed = float(state.z[n + j - 2]) if j >= 2 else 0.0
         target_mass = left_primed + float(state.z[j - 1])
-    left = field._cdf_scalar(float(state.positions[j - 2])) if j >= 2 else 0.0
+    x, y = state.positions, _carried_masses(field, state)
+    left = float(y[j - 2]) if j >= 2 else 0.0
     c = field._inverse_scalar(min(field.total_mass, left + target_mass))
-    if j >= 2 and c < state.positions[j - 2]:
+    if j >= 2 and c < x[j - 2]:
         # the target mass is >= F(x_{j-1}), so c >= x_{j-1} holds exactly in
         # real arithmetic; guard the one-ulp inversion case
-        c = float(state.positions[j - 2])
-    state.positions[j - 1] = c
-    tail = state.positions[j:]
-    tail[tail < c] = c
+        c, y_c = float(x[j - 2]), left
+    else:
+        y_c = field._cdf_scalar(c)
+    # the agents overtaken by c are the ordered tail's prefix below it
+    pushed = j + int(np.searchsorted(x[j:], c))
+    x[j - 1:pushed] = c
+    y[j - 1:pushed] = y_c
     return state
 
 
@@ -303,6 +323,7 @@ def add_agent(state: DynamicState, x_new: float) -> DynamicState:
     state.positions = np.insert(state.positions, idx, x_new)
     state.z = np.insert(state.z.reshape(2, n), idx, 0.0, axis=1).ravel()
     state.chain = build_chain(n + 1, state.chain.big_u, state.chain.variant)
+    state.masses = None
     return state
 
 
@@ -326,6 +347,7 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
     state.z = tracks.ravel()
     state.positions = np.delete(state.positions, i - 1)
     state.chain = build_chain(n - 1, state.chain.big_u, state.chain.variant)
+    state.masses = None
     return state
 
 
@@ -344,8 +366,13 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
-    return run_rounds(field, state.positions, lambda x: step_round(field, state).positions,
-                      stop, t=state.round_index, zsum=lambda: state.zsum)
+
+    def step(x, y):
+        step_round(field, state)
+        return state.positions, state.masses
+
+    return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
+                      t=state.round_index, zsum=lambda: state.zsum)
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule,

@@ -10,15 +10,18 @@ cells (n, run) draw from independent, order-insensitive streams.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)   # splitmix64 multipliers
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: bijective 64-bit mixing function."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -46,8 +49,16 @@ class StreamRng:
         """Next double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int) -> list[float]:
-        return [self.uniform() for _ in range(n)]
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n doubles in [0, 1), as n calls of :meth:`uniform` would
+        give them; splitmix64 runs on uint64 arrays, which wrap mod 2**64."""
+        z = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        z = np.uint64(self.key) + z * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
+        z ^= z >> np.uint64(31)
+        self.counter += n
+        return (z >> np.uint64(11)) * 2.0**-53
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] via rejection-free modular draw."""

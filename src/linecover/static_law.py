@@ -21,10 +21,13 @@ from .density import DensityField, check_positions
 from .trace import ExperimentTrace, StopRule, run_rounds
 
 
-def static_step(field: DensityField, positions) -> np.ndarray:
-    """One simultaneous median update, evaluated at the old positions."""
-    x = check_positions(positions, n_min=2)
-    y = field.cdf(x)
+def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
+    """One simultaneous median update, evaluated at the old positions.
+
+    ``masses``, when given, must be ``field.cdf`` of the validated
+    positions; the positions are then neither validated nor mapped again.
+    """
+    y = field.cdf(check_positions(positions, n_min=2)) if masses is None else masses
     targets = np.empty_like(y)
     targets[0] = y[1] / 3.0
     if y.size > 2:
@@ -39,5 +42,9 @@ def static_step(field: DensityField, positions) -> np.ndarray:
 
 def run_static(field: DensityField, positions0, stop: StopRule) -> ExperimentTrace:
     """Iterate the static law until the stop rule fires."""
+    def step(x, y):
+        x = static_step(field, x, y)
+        return x, field.cdf(x)
+
     x = check_positions(positions0, n_min=2)
-    return run_rounds(field, x, lambda x: static_step(field, x), stop)
+    return run_rounds(field, x, field.cdf(x), step, stop)

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityField, coverage, optimal_configuration
+from .density import DensityField, coverage, mass_gaps, optimal_configuration
 from .errors import DomainError, NumericError
 
 _ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
@@ -72,34 +72,45 @@ class ExperimentTrace:
         return self.rows[-1].phi
 
 
-def run_rounds(field: DensityField, positions: np.ndarray,
-               step: Callable[[np.ndarray], np.ndarray], stop: StopRule, *,
-               t: int = 0, zsum: Callable[[], float] | None = None) -> ExperimentTrace:
+def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
+               step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+               stop: StopRule, *, t: int = 0,
+               zsum: Callable[[], float] | None = None) -> ExperimentTrace:
     """Advance a run round by round until the stop rule fires.
 
-    ``step`` performs one round of the law and returns the new positions.
-    One row is recorded per round, including the entry state, numbered
-    from ``t``: coverage and the squared distance to the optimal
+    The loop carries the agents' masses y = F(x) next to their positions:
+    ``positions`` must already be validated and ``masses`` must be their
+    ``field.cdf``, and ``step`` performs one round of the law, mapping
+    (x, y) to the new (x, y). One row is recorded per round, including the
+    entry state, numbered from ``t``: coverage, half the largest
+    boundary-doubled gap of y, and the squared distance to the optimal
     configuration for the run's agent count. That optimum is also the
     limit of both laws, so the stop criterion is computable online.
     ``zsum``, when given, returns the conserved mass total, which is
     recorded and must stay at F(1). ``max_rounds`` counts the rounds
     executed by this call, so churn scenarios can resume a run.
+
+    Each row checks only that the positions are ordered and inside [0, 1];
+    at the end the last row's coverage is recomputed from the final
+    positions. Either failure is an internal fault and raises NumericError.
     """
-    x = positions
+    x, y = positions, masses
     xstar, phi_star = optimal_configuration(field, x.size)
     total = field.total_mass
     trace = ExperimentTrace(metadata={"phi_star": phi_star})
     persist = 1 if stop.persist is None else stop.persist
     streak = 0
     for k in range(stop.max_rounds + 1):
+        if not (x[0] >= 0.0 and x[-1] <= 1.0 and np.all(x[1:] >= x[:-1])):
+            raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
         mass = None
         if zsum is not None:
             mass = zsum()
             if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
                 raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
         residual = float(np.sum((x - xstar) ** 2))
-        trace.rows.append(TraceRow(t + k, x.copy(), coverage(field, x), residual, mass))
+        phi = float(np.max(mass_gaps(y, total))) / 2.0
+        trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
         streak = streak + 1 if stop.tol is not None and residual <= stop.tol else 0
         if streak >= persist:
             trace.stop_reason = "tol"
@@ -107,5 +118,7 @@ def run_rounds(field: DensityField, positions: np.ndarray,
         if k == stop.max_rounds:
             trace.stop_reason = "max_rounds"
             break
-        x = step(x)
+        x, y = step(x, y)
+    if coverage(field, x) != trace.final_phi:
+        raise NumericError("carried masses drifted from F(positions)")
     return trace

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import linecover
-from linecover import StopRule, build_chain, resolve_density, run_one, stationary
+from linecover import (
+    DensityField,
+    NumericError,
+    StopRule,
+    StreamRng,
+    build_chain,
+    initial_positions,
+    resolve_density,
+    run_one,
+    stationary,
+)
 from linecover.cli import entrypoint, main
 
 
@@ -165,6 +175,45 @@ def test_simulate_static_many_agents_keeps_order(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["rounds"] == 100
     assert summary["stop_reason"] == "max_rounds"
+
+
+@pytest.mark.parametrize("law", ["static", "dynamic"])
+def test_ordering_fault_inside_a_run_is_numeric(capsys, tmp_path, monkeypatch, law):
+    # a step that swaps two agents is an internal fault; it used to raise
+    # DomainError and exit 2 as if the caller's input were wrong
+    module = linecover.static_law if law == "static" else linecover.lifted_chain
+    name = "static_step" if law == "static" else "movement_step"
+    real = getattr(module, name)
+
+    def swapping(*args):
+        out = real(*args)
+        x = out if law == "static" else out.positions
+        x[[0, -1]] = x[[-1, 0]]
+        return out
+
+    monkeypatch.setattr(module, name, swapping)
+    x0 = initial_positions("random", 6, StreamRng(0, 6, 0), law=law)
+    with pytest.raises(NumericError, match="order"):
+        run_one(law, resolve_density("uniform"), x0, StopRule(tol=None, max_rounds=5))
+    code, _, err = run_cli(capsys, ["simulate", "--law", law, "--n", "6",
+                                    "--max-rounds", "5", "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert json.loads(err)["error"] == "numeric"
+
+
+def test_drifting_carried_masses_fail_the_final_coverage_check(capsys, tmp_path, monkeypatch):
+    # moved agents take masses off by a relative 1e-6: every row stays
+    # ordered and conserves z, so only the end-of-run recomputation sees it
+    real = DensityField._cdf_scalar
+    monkeypatch.setattr(DensityField, "_cdf_scalar",
+                        lambda self, x: real(self, x) * (1.0 + 1e-6))
+    x0 = initial_positions("random", 6, StreamRng(0, 6, 0), law="dynamic")
+    with pytest.raises(NumericError, match="carried masses drifted"):
+        run_one("dynamic", resolve_density("uniform"), x0, StopRule(tol=None, max_rounds=30))
+    code, _, err = run_cli(capsys, ["simulate", "--law", "dynamic", "--n", "6",
+                                    "--max-rounds", "30", "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert json.loads(err)["error"] == "numeric"
 
 
 def test_simulate_dynamic_records_mass(capsys, tmp_path):

@@ -109,6 +109,15 @@ def test_inverse_scalar_and_vector_agree(seed, fractions):
     assert np.all(np.abs(vector - scalar) <= 4.0 * np.spacing(vector))
 
 
+@given(seeds, st.lists(units, max_size=40))
+def test_cdf_scalar_and_vector_agree_bitwise(seed, points):
+    # the dynamic law carries y = F(x) from the scalar path, and the run's
+    # end-of-run check recomputes it with the vector path
+    field = make_random_field(StreamRng(seed))
+    x = np.array([0.0, 1.0, *field.breakpoints, *points])
+    assert [field._cdf_scalar(v) for v in x.tolist()] == field.cdf(x).tolist()
+
+
 @given(seeds, st.lists(units, min_size=1, max_size=40))
 def test_inverse_of_cdf_is_identity(seed, points):
     field = make_random_field(StreamRng(seed))

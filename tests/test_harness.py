@@ -151,6 +151,18 @@ def test_rng_stream_is_frozen():
     assert StreamRng(123, 4, 6).uniform() != first
 
 
+def test_vector_uniforms_continue_the_scalar_stream():
+    # 50 keys, 1000 draws after an offset: bit for bit what uniform() gives,
+    # and the counter advances the same, so the two paths interleave
+    for key in range(50):
+        vector, scalar = StreamRng(key, 7), StreamRng(key, 7)
+        offset = key % 13
+        assert vector.uniforms(offset).tolist() == [scalar.uniform() for _ in range(offset)]
+        assert vector.uniforms(1000).tolist() == [scalar.uniform() for _ in range(1000)]
+        assert vector.counter == scalar.counter
+        assert vector.next_u64() == scalar.next_u64()
+
+
 def test_loglog_fit_recovers_powerlaw():
     ns = [5, 10, 20, 40]
     fit = loglog_fit(ns, [3.0 * n**2 for n in ns])

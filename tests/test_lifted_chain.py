@@ -543,6 +543,8 @@ def test_random_churn_keeps_order_and_mass_and_reconverges(data):
         elif state.n >= 4:
             remove_agent(state, data.draw(st.integers(1, state.n)))
         _assert_ordered_and_conserved(field, state.positions, state.zsum)
+        # the carried masses are bitwise F(x), or unset after churn
+        assert state.masses is None or np.array_equal(state.masses, field.cdf(state.positions))
 
     if state.n <= big_u:
         # every agent holds the token once per cycle: back to the optimum
