@@ -45,18 +45,11 @@ def _inside(values, hi: float = 1.0,
 
 
 def _poly_eval(coeffs, x):
-    """Horner evaluation of ascending-power coefficients at scalar x."""
+    """Horner evaluation of ascending-power coefficients at a scalar or an
+    array x; pass a gathered table of rows transposed to evaluate row i at x[i]."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
-
-
-def _poly_eval_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner evaluation of ascending-power coefficient rows[i] at x[i]."""
-    acc = np.zeros_like(x) + rows[:, -1]
-    for k in range(rows.shape[1] - 2, -1, -1):
-        acc = acc * x + rows[:, k]
     return acc
 
 
@@ -122,9 +115,9 @@ class DensityField:
         anti_rows = np.zeros((m, width + 1))
         anti_rows[:, 1:] = rho_rows / np.arange(1, width + 1)
 
+        anti_at_left = _poly_eval(anti_rows.T, bp[:-1])
+        seg_mass = _poly_eval(anti_rows.T, bp[1:]) - anti_at_left
         lo_all, hi_all = np.inf, -np.inf
-        seg_mass = np.empty(m)
-        anti_at_left = np.empty(m)
         for j in range(m):
             lo, hi = _poly_extrema(rho_rows[j], bp[j], bp[j + 1])
             scale = max(1.0, float(np.max(np.abs(rho_rows[j]))))
@@ -134,8 +127,6 @@ class DensityField:
                 )
             lo_all = min(lo_all, max(lo, 0.0))
             hi_all = max(hi_all, hi)
-            anti_at_left[j] = _poly_eval(anti_rows[j], bp[j])
-            seg_mass[j] = _poly_eval(anti_rows[j], bp[j + 1]) - anti_at_left[j]
             if seg_mass[j] <= 0.0:
                 raise DomainError(f"segment {j}: segment mass must be positive")
 
@@ -169,7 +160,7 @@ class DensityField:
         """Density value(s) at x."""
         scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
         xv = np.atleast_1d(_inside(x))
-        acc = _poly_eval_rows(self._rho_rows[self._segment_of(xv)], xv)
+        acc = _poly_eval(self._rho_rows[self._segment_of(xv)].T, xv)
         return float(acc[0]) if scalar else acc
 
     def cdf(self, x):
@@ -178,7 +169,7 @@ class DensityField:
         xv = np.atleast_1d(_inside(x))
         j = self._segment_of(xv)
         # bracketed so that x = b_j gives exactly the stored mass F(b_j)
-        out = self._cum[j] + (_poly_eval_rows(self._anti_rows[j], xv) - self._anti_at_left[j])
+        out = self._cum[j] + (_poly_eval(self._anti_rows[j].T, xv) - self._anti_at_left[j])
         return float(out[0]) if scalar else out
 
     def inverse_cdf(self, m):
@@ -199,7 +190,8 @@ class DensityField:
         Newton point, or the bracket midpoint when that point leaves the
         bracket or the step is longer than half the previous one. At most
         120 passes run. The scalar and the vector paths follow this one
-        rule, and the result is within 1e-13 of the true root.
+        rule in the same floating-point operations, so they return the same
+        bits, and the result is within 1e-13 of the true root.
         """
         if np.isscalar(m) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))
@@ -212,8 +204,8 @@ class DensityField:
         lo = self.breakpoints[j].copy()
         hi = self.breakpoints[j + 1].copy()
         c_lo, c_hi = self._cum[j], self._cum[j + 1]
-        arows = self._anti_rows[j]
-        rrows = self._rho_rows[j]
+        arows = self._anti_rows[j].T
+        rrows = self._rho_rows[j].T
         offset = c_lo - self._anti_at_left[j]
 
         x = lo + (hi - lo) * (m - c_lo) / (c_hi - c_lo)
@@ -223,8 +215,8 @@ class DensityField:
         x = np.where(at_left, lo, np.where(at_right, hi, x))
         done = at_left | at_right
         for _ in range(120):
-            g = _poly_eval_rows(arows, x) + offset - m
-            der = _poly_eval_rows(rrows, x)
+            g = _poly_eval(arows, x) + offset - m
+            der = _poly_eval(rrows, x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = x - g / der
             done |= (g == 0.0) | (np.abs(newton - x) <= _NEWTON_ULPS * np.abs(x))

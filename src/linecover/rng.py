@@ -17,9 +17,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)   # splitmix64 multipliers
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer: bijective 64-bit mixing function."""
-    z &= _MASK64
+def mix64(z):
+    """splitmix64 finalizer: bijective 64-bit mixing function of an int or of
+    each entry of a uint64 array, whose arithmetic wraps mod 2**64."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK64
     return z ^ (z >> 31)
@@ -51,14 +52,10 @@ class StreamRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next n doubles in [0, 1), as n calls of :meth:`uniform` would
-        give them; splitmix64 runs on uint64 arrays, which wrap mod 2**64."""
-        z = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        z = np.uint64(self.key) + z * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
-        z ^= z >> np.uint64(31)
+        give them."""
+        i = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        return (z >> np.uint64(11)) * 2.0**-53
+        return (mix64(self.key + i * _GOLDEN) >> 11) * 2.0**-53
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] via rejection-free modular draw."""

@@ -40,22 +40,16 @@ class TridiagonalSystem:
 def build_system(k: int) -> TridiagonalSystem:
     """Build the k-dimensional gap-update system (k >= 3).
 
-    Stencil rows are integers divided by 6, so P is exact to one rounding:
-    (-4, 4) at the ends, (2, -5, 3) next to the ends, (3, -6, 3) in the
-    interior, with the special 3x3 case (-4, 4 / 2, -4, 2 / 4, -4).
+    Stencil rows are integers divided by 6, so P is exact to one rounding.
+    The sub-diagonal of U is (2, 3, ..., 3, 4), the super-diagonal is its
+    reverse (4, 3, ..., 3, 2), and the diagonal makes every row sum to zero.
     """
     if k < 3:
         raise DomainError("gap systems need dimension k >= 3")
-    U = np.zeros((k, k))
-    if k == 3:
-        U[:] = [[-4, 4, 0], [2, -4, 2], [0, 4, -4]]
-    else:
-        U[0, 0:2] = [-4, 4]
-        U[1, 0:3] = [2, -5, 3]
-        for i in range(2, k - 2):
-            U[i, i - 1:i + 2] = [3, -6, 3]
-        U[k - 2, k - 3:k] = [3, -5, 2]
-        U[k - 1, k - 2:k] = [4, -4]
+    sub = np.full(k - 1, 3.0)
+    sub[0], sub[-1] = 2.0, 4.0
+    U = np.diag(sub, -1) + np.diag(sub[::-1], 1)
+    np.fill_diagonal(U, -U.sum(axis=1))
     P = np.eye(k) + U / 6.0
     w = np.full(k, 6.0)
     w[0] = w[-1] = 3.0

@@ -25,8 +25,25 @@ def test_build_k3_matrices():
 
 
 def test_build_k4_and_k6_rows():
-    assert np.array_equal(build_system(4).U[1], [2, -5, 3, 0])
-    assert np.array_equal(build_system(6).U[2], [0, 3, -6, 3, 0, 0])
+    expected = {
+        4: [[-4, 4, 0, 0],
+            [2, -5, 3, 0],
+            [0, 3, -5, 2],
+            [0, 0, 4, -4]],
+        5: [[-4, 4, 0, 0, 0],
+            [2, -5, 3, 0, 0],
+            [0, 3, -6, 3, 0],
+            [0, 0, 3, -5, 2],
+            [0, 0, 0, 4, -4]],
+        6: [[-4, 4, 0, 0, 0, 0],
+            [2, -5, 3, 0, 0, 0],
+            [0, 3, -6, 3, 0, 0],
+            [0, 0, 3, -6, 3, 0],
+            [0, 0, 0, 3, -5, 2],
+            [0, 0, 0, 0, 4, -4]],
+    }
+    for k, U in expected.items():
+        assert np.array_equal(build_system(k).U, U)
 
 
 def test_build_rejects_small_k():
