@@ -32,6 +32,7 @@ MAX_DEGREE = 4
 _X_SLACK = 1e-12          # tolerated overshoot outside [0, 1] before clipping
 _NEG_TOL = 1e-12          # tolerated negative polynomial minimum (roundoff)
 _NEWTON_ULPS = 4.5e-16    # relative Newton step at which the inverse stops
+_KNOT_CELLS = 256         # equal cells per segment in the inverse's start table
 
 
 def _inside(values, hi: float = 1.0,
@@ -73,6 +74,11 @@ class DensityField:
     increase strictly), nonnegativity of every segment polynomial (exact,
     via derivative-root minimization), and positivity of every segment
     mass. ``rho_min``/``rho_max`` cache the global density bounds.
+
+    Construction also tabulates ``_KNOT_CELLS`` equal cells per segment: the
+    knots x_k (every breakpoint among them) and their masses F_k = F(x_k),
+    evaluated by ``cdf`` itself. ``inverse_cdf`` starts inside the knot cell
+    that holds its mass.
     """
 
     def __init__(self, breakpoints, coefficients, name: str = "custom"):
@@ -139,9 +145,18 @@ class DensityField:
         # Pure-Python copies for the scalar fast paths.
         self._bp_list = bp.tolist()
         self._cum_list = self._cum.tolist()
-        self._rho_list = [tuple(r) for r in rho_rows]
-        self._anti_list = [tuple(r) for r in anti_rows]
+        self._rho_list = rho_rows.tolist()
+        self._anti_list = anti_rows.tolist()
         self._anti_left_list = anti_at_left.tolist()
+
+        # The inverse's starting cells. F_k comes from cdf itself, so that
+        # inverse_cdf(cdf(x_k)) returns every knot exactly.
+        cells = np.arange(_KNOT_CELLS) / _KNOT_CELLS
+        knots = (bp[:-1, None] + np.diff(bp)[:, None] * cells).ravel()
+        self._knot_x = np.append(knots, 1.0)
+        self._knot_f = self.cdf(self._knot_x)
+        self._knot_x_list = self._knot_x.tolist()
+        self._knot_f_list = self._knot_f.tolist()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -175,23 +190,28 @@ class DensityField:
     def inverse_cdf(self, m):
         """The unique x with F(x) = m.
 
-        Solved per segment b_j <= x <= b_{j+1} by safeguarded Newton
-        iteration (cf. ``rtsafe`` in *Numerical Recipes*). A mass equal to a
-        breakpoint's mass returns that breakpoint. Otherwise the iteration
-        starts from linear interpolation of the mass within the segment,
+        Solved by safeguarded Newton iteration (cf. ``rtsafe`` in *Numerical
+        Recipes*) inside the knot cell x_k <= x <= x_{k+1} of the table built
+        at construction, found by one binary search of m among the knot
+        masses F_k. A mass equal to a knot's F_k returns that knot, so every
+        breakpoint is returned exactly. Otherwise the iteration starts from
+        linear interpolation of the mass within the cell,
 
-            x = b_j + (b_{j+1} - b_j) (m - F(b_j)) / (F(b_{j+1}) - F(b_j)),
+            x = x_k + (x_{k+1} - x_k) (m - F_k) / (F_{k+1} - F_k),
 
-        which is exact where rho is constant. Each pass evaluates
-        g = F(x) - m and stops, keeping x, as soon as g == 0 or the Newton
-        step g / rho(x) would move x by at most ``_NEWTON_ULPS`` |x| (a few
-        ulps); otherwise x narrows the bracket [lo, hi] around the root and
-        the pass stops if the bracket has collapsed. The next x is the
-        Newton point, or the bracket midpoint when that point leaves the
-        bracket or the step is longer than half the previous one. At most
-        120 passes run. The scalar and the vector paths follow this one
-        rule in the same floating-point operations, so they return the same
-        bits, and the result is within 1e-13 of the true root.
+        which is exact where rho is constant, and the cell is the starting
+        bracket [lo, hi]. Each pass evaluates g = F(x) - m from the
+        antiderivative of the cell's segment j, as A(x) + (F(b_j) - A(b_j))
+        - m, and stops, keeping x, as soon as g == 0 or the Newton step
+        g / rho(x) would move x by at most ``_NEWTON_ULPS`` |x| (a few
+        ulps); otherwise x narrows the bracket and the pass stops if the
+        bracket has collapsed. The next x is the Newton point, or the
+        bracket midpoint when that point leaves the bracket or the step is
+        longer than half the previous one. On a polynomial density a call
+        typically needs 3 or 4 passes, at most 120. The scalar and the
+        vector paths follow this one rule in the same floating-point
+        operations, so they return the same bits, and the result is within
+        1e-13 of the true root.
         """
         if np.isscalar(m) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))
@@ -199,14 +219,14 @@ class DensityField:
             _inside(m, self.total_mass, "mass values must lie in [0, F(1)]"))
 
     def _inverse_vector(self, m: np.ndarray) -> np.ndarray:
-        j = np.clip(np.searchsorted(self._cum, m, side="right") - 1, 0,
-                    self.breakpoints.size - 2)
-        lo = self.breakpoints[j].copy()
-        hi = self.breakpoints[j + 1].copy()
-        c_lo, c_hi = self._cum[j], self._cum[j + 1]
+        k = np.clip(np.searchsorted(self._knot_f, m, side="right") - 1, 0,
+                    self._knot_x.size - 2)
+        j = k // _KNOT_CELLS
+        lo, hi = self._knot_x[k], self._knot_x[k + 1]
+        c_lo, c_hi = self._knot_f[k], self._knot_f[k + 1]
         arows = self._anti_rows[j].T
         rrows = self._rho_rows[j].T
-        offset = c_lo - self._anti_at_left[j]
+        offset = self._cum[j] - self._anti_at_left[j]
 
         x = lo + (hi - lo) * (m - c_lo) / (c_hi - c_lo)
         step_prev = hi - lo
@@ -214,24 +234,26 @@ class DensityField:
         at_right = m == c_hi
         x = np.where(at_left, lo, np.where(at_right, hi, x))
         done = at_left | at_right
-        for _ in range(120):
-            g = _poly_eval(arows, x) + offset - m
-            der = _poly_eval(rrows, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(120):
+                g = _poly_eval(arows, x) + offset - m
+                der = _poly_eval(rrows, x)
                 newton = x - g / der
-            done |= (g == 0.0) | (np.abs(newton - x) <= _NEWTON_ULPS * np.abs(x))
+                done |= (g == 0.0) | (np.abs(newton - x) <= _NEWTON_ULPS * np.abs(x))
+                if np.all(done):
+                    break
 
-            above = g > 0.0
-            hi = np.where(above & ~done, x, hi)
-            lo = np.where(~above & ~done, x, lo)
-            done |= (hi - lo) <= 4e-16 * (1.0 + np.abs(x))
-            if np.all(done):
-                break
-            slow = np.abs(2.0 * g) > np.abs(step_prev * der)
-            bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | slow
-            nxt = np.where(done, x, np.where(bad, 0.5 * (lo + hi), newton))
-            step_prev = np.abs(nxt - x)
-            x = nxt
+                above = g > 0.0
+                hi = np.where(above & ~done, x, hi)
+                lo = np.where(~above & ~done, x, lo)
+                done |= (hi - lo) <= 4e-16 * (1.0 + np.abs(x))
+                if np.all(done):
+                    break
+                slow = np.abs(2.0 * g) > np.abs(step_prev * der)
+                bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | slow
+                nxt = np.where(done, x, np.where(bad, 0.5 * (lo + hi), newton))
+                step_prev = np.abs(nxt - x)
+                x = nxt
         return x
 
     # Scalar fast paths (pure Python floats): the round-based simulations
@@ -254,16 +276,17 @@ class DensityField:
         if not -tol <= m <= self.total_mass + tol:
             raise DomainError("mass values must lie in [0, F(1)]")
         m = min(max(m, 0.0), self.total_mass)
-        j = bisect.bisect_right(self._cum_list, m) - 1
-        j = min(max(j, 0), len(self._bp_list) - 2)
-        lo, hi = self._bp_list[j], self._bp_list[j + 1]
-        c_lo, c_hi = self._cum_list[j], self._cum_list[j + 1]
+        k = bisect.bisect_right(self._knot_f_list, m) - 1
+        k = min(max(k, 0), len(self._knot_x_list) - 2)
+        lo, hi = self._knot_x_list[k], self._knot_x_list[k + 1]
+        c_lo, c_hi = self._knot_f_list[k], self._knot_f_list[k + 1]
         if m == c_lo:
             return lo
         if m == c_hi:
             return hi
+        j = k // _KNOT_CELLS
         arow, rrow = self._anti_list[j], self._rho_list[j]
-        offset = c_lo - self._anti_left_list[j]
+        offset = self._cum_list[j] - self._anti_left_list[j]
 
         x = lo + (hi - lo) * (m - c_lo) / (c_hi - c_lo)
         step_prev = hi - lo

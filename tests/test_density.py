@@ -14,6 +14,7 @@ from linecover import (
     StreamRng,
     check_positions,
     coverage,
+    density,
     density_from_dict,
     load_density,
     optimal_configuration,
@@ -137,6 +138,55 @@ def test_inverse_returns_breakpoints_exactly(seed):
     assert field.cdf(1.0) == field.total_mass
     assert np.array_equal(field.inverse_cdf(masses), field.breakpoints)
     assert [field.inverse_cdf(float(m)) for m in masses] == field.breakpoints.tolist()
+
+
+@given(seeds)
+def test_knot_table_is_cdf_and_inverts_exactly(seed):
+    field = make_random_field(StreamRng(seed))
+    x, f = field._knot_x, field._knot_f
+    assert np.array_equal(f, field.cdf(x))
+    assert f.tolist() == [field._cdf_scalar(v) for v in x.tolist()]
+    assert np.array_equal(f[::density._KNOT_CELLS], field._cum)
+    assert np.all(np.diff(f) >= 0.0)
+    assert np.array_equal(field.inverse_cdf(f), x)
+    assert [field.inverse_cdf(m) for m in f.tolist()] == x.tolist()
+    # one mass inside every cell, so every cell's segment index is used
+    centres = 0.5 * (x[:-1] + x[1:])
+    masses = field.cdf(centres)
+    back = field.inverse_cdf(masses)
+    assert np.max(np.abs(back - centres)) <= 1e-13
+    assert [field.inverse_cdf(m) for m in masses.tolist()] == back.tolist()
+
+
+def count_horner_calls(monkeypatch) -> list[int]:
+    """A one-element counter of ``density._poly_eval`` calls; each pass of the
+    inverse makes two (F(x) and rho(x))."""
+    calls = [0]
+    poly_eval = density._poly_eval
+
+    def counting(coeffs, x):
+        calls[0] += 1
+        return poly_eval(coeffs, x)
+
+    monkeypatch.setattr(density, "_poly_eval", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [12, 80, 320, 1000])
+def test_vector_inverse_starts_near_the_root(quadratic_field, monkeypatch, n):
+    # starting from the whole segment took 8, 9, 10 and 11 passes
+    calls = count_horner_calls(monkeypatch)
+    optimal_configuration(quadratic_field, n)
+    assert calls[0] <= 2 * 4
+
+
+def test_scalar_inverse_starts_near_the_root(quadratic_field, monkeypatch):
+    # starting from the whole segment took 5.9 passes on average
+    masses = quadratic_field.total_mass * np.array(StreamRng(31).uniforms(1000))
+    calls = count_horner_calls(monkeypatch)
+    for m in masses.tolist():
+        quadratic_field.inverse_cdf(m)
+    assert calls[0] <= 2 * 4 * masses.size
 
 
 def test_bounds_hold_at_random_points(random_field_factory):
