@@ -323,7 +323,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _error_json("parse", exc)
         return EXIT_PARSE
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
+        # a size the caller asked for, such as an agent count, that cannot be allocated
         _error_json("usage", exc)
         return EXIT_USAGE
     except NumericError as exc:

@@ -28,6 +28,9 @@ import numpy as np
 from .errors import DomainError, NumericError, ParseError
 
 MAX_DEGREE = 4
+# the largest agent count whose 2n-entry float64 chain state numpy can address;
+# counts enter through a range check against it, before any allocation
+MAX_AGENTS = np.iinfo(np.intp).max // 16
 
 _X_SLACK = 1e-12          # tolerated overshoot outside [0, 1] before clipping
 _NEG_TOL = 1e-12          # tolerated negative polynomial minimum (roundoff)
@@ -35,14 +38,17 @@ _NEWTON_ULPS = 4.5e-16    # relative Newton step at which the inverse stops
 _KNOT_CELLS = 256         # equal cells per segment in the inverse's start table
 
 
-def _inside(values, hi: float = 1.0,
-            message: str = "points must lie in [0, 1]") -> np.ndarray:
-    """``values`` clipped to [0, hi]; DomainError unless all lie in it up to slack."""
+def _inside(values, hi: float = 1.0, message: str = "points must lie in [0, 1]"):
+    """``values``, a Python float or an array, clipped to [0, hi]; DomainError
+    unless all lie in it up to slack, which NaN never does."""
+    if isinstance(values, float) and 0.0 <= values <= hi:
+        return values     # the scalar paths' common case, without numpy
     v = np.asarray(values, dtype=float)
     slack = _X_SLACK * max(1.0, hi)
     if not ((v >= -slack) & (v <= hi + slack)).all():
         raise DomainError(message)
-    return np.clip(v, 0.0, hi)
+    v = np.clip(v, 0.0, hi)
+    return float(v) if isinstance(values, float) else v
 
 
 def _poly_eval(coeffs, x):
@@ -143,7 +149,7 @@ class DensityField:
         self._anti_at_left = anti_at_left
         self._cum = np.concatenate([[0.0], np.cumsum(seg_mass)])
         # Pure-Python copies for the scalar fast paths.
-        self._bp_list = bp.tolist()
+        self._left_list = bp[:-1].tolist()
         self._cum_list = self._cum.tolist()
         self._rho_list = rho_rows.tolist()
         self._anti_list = anti_rows.tolist()
@@ -168,8 +174,9 @@ class DensityField:
         return float(self._cum[-1])
 
     def _segment_of(self, x: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(j, 0, self.breakpoints.size - 2)
+        """Index j of the segment [b_j, b_{j+1}) that holds each x in [0, 1],
+        found among the left ends only, so that x = 1 falls in the last."""
+        return np.searchsorted(self.breakpoints[:-1], x, side="right") - 1
 
     def rho(self, x):
         """Density value(s) at x."""
@@ -179,13 +186,14 @@ class DensityField:
         return float(acc[0]) if scalar else acc
 
     def cdf(self, x):
-        """Cumulative mass F(x)."""
-        scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-        xv = np.atleast_1d(_inside(x))
-        j = self._segment_of(xv)
+        """Cumulative mass F(x). A scalar x takes the pure-Python path and an
+        array the vector path; both return the same bits."""
+        if isinstance(x, (int, float)) or getattr(x, "ndim", 1) == 0:
+            return self._cdf_scalar(float(x))
+        x = _inside(x)
+        j = self._segment_of(x)
         # bracketed so that x = b_j gives exactly the stored mass F(b_j)
-        out = self._cum[j] + (_poly_eval(self._anti_rows[j].T, xv) - self._anti_at_left[j])
-        return float(out[0]) if scalar else out
+        return self._cum[j] + (_poly_eval(self._anti_rows[j].T, x) - self._anti_at_left[j])
 
     def inverse_cdf(self, m):
         """The unique x with F(x) = m.
@@ -213,7 +221,7 @@ class DensityField:
         operations, so they return the same bits, and the result is within
         1e-13 of the true root.
         """
-        if np.isscalar(m) or getattr(m, "ndim", 1) == 0:
+        if isinstance(m, (int, float)) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))
         return self._inverse_vector(
             _inside(m, self.total_mass, "mass values must lie in [0, F(1)]"))
@@ -256,26 +264,17 @@ class DensityField:
                 x = nxt
         return x
 
-    # Scalar fast paths (pure Python floats): the round-based simulations
-    # invert one mass per movement, where numpy per-call overhead dominates.
+    # Scalar paths (pure Python floats), which cdf and inverse_cdf take for a
+    # scalar argument: the dynamic move maps one point per round, where numpy
+    # per-call overhead dominates; a few dozen points are cheaper as an array.
 
     def _cdf_scalar(self, x: float) -> float:
-        if x <= 0.0:
-            if x < -_X_SLACK:
-                raise DomainError("points must lie in [0, 1]")
-            return 0.0
-        if x >= 1.0:
-            if x > 1.0 + _X_SLACK:
-                raise DomainError("points must lie in [0, 1]")
-            return self._cum_list[-1]
-        j = bisect.bisect_right(self._bp_list, x) - 1
+        x = _inside(x)
+        j = bisect.bisect_right(self._left_list, x) - 1    # as in _segment_of
         return self._cum_list[j] + (_poly_eval(self._anti_list[j], x) - self._anti_left_list[j])
 
     def _inverse_scalar(self, m: float) -> float:
-        tol = _X_SLACK * max(1.0, self.total_mass)
-        if not -tol <= m <= self.total_mass + tol:
-            raise DomainError("mass values must lie in [0, F(1)]")
-        m = min(max(m, 0.0), self.total_mass)
+        m = _inside(m, self.total_mass, "mass values must lie in [0, F(1)]")
         k = bisect.bisect_right(self._knot_f_list, m) - 1
         k = min(max(k, 0), len(self._knot_x_list) - 2)
         lo, hi = self._knot_x_list[k], self._knot_x_list[k + 1]
@@ -358,8 +357,8 @@ def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, floa
     Places agent j at F^{-1}(F(1) (2j - 1) / (2n)); its coverage
     F(1) / (2n) is the best achievable by n agents.
     """
-    if n < 1:
-        raise DomainError("need at least one agent")
+    if not 1 <= n <= MAX_AGENTS:
+        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
     targets = field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     positions = field.inverse_cdf(targets)
     return positions, field.total_mass / (2.0 * n)

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityField, gap_vector
+from .density import MAX_AGENTS, DensityField, gap_vector
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
@@ -71,8 +71,8 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
     mode = _INIT_ALIASES.get(mode, mode)
     if mode not in INIT_MODES:
         raise DomainError(f"unknown init mode {mode!r}")
-    if n < 1:
-        raise DomainError(f"need at least one agent, got n = {n}")
+    if not 1 <= n <= MAX_AGENTS:
+        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
     if mode == "random-uniform-order-statistics":
         if rng is None:
             raise DomainError("random init needs a seeded generator")

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DensityField, check_positions, gap_vector
+from .density import MAX_AGENTS, DensityField, check_positions, mass_gaps
 from .errors import DomainError, NumericError
 from .trace import ExperimentTrace, StopRule, run_rounds
 
@@ -128,8 +128,8 @@ class DynamicState:
 
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
-    if n < 3:
-        raise DomainError("the dynamic law needs at least 3 agents")
+    if not 3 <= n <= MAX_AGENTS:
+        raise DomainError(f"the dynamic law needs 3 to {MAX_AGENTS} agents, got n = {n}")
     if big_u < 3:
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
@@ -211,17 +211,17 @@ def init_z(field: DensityField, positions) -> np.ndarray:
 
     Cell boundaries sit at the 1-medians of adjacent agents, so agent i's
     cell holds half of each boundary-doubled gap beside it: z_i(0) = z_i'(0)
-    = (d_{i-1} + d_i)/4 with d from ``gap_vector``, summing to F(1). Initial
+    = (d_{i-1} + d_i)/4 with d from ``mass_gaps``, summing to F(1). Initial
     positions must be distinct for the cells to be well defined; later
     coincidences created by pushing are fine because initialization runs once.
     """
     x = check_positions(positions, n_min=3)
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("initial positions must be distinct for cell setup")
-    d = gap_vector(field, x)
+    total = field.total_mass
+    d = mass_gaps(field.cdf(x), total)
     quarter = (d[:-1] + d[1:]) / 4.0
     z = np.concatenate([quarter, quarter])
-    total = field.total_mass
     if abs(float(z.sum()) - total) > 1e-12 * max(1.0, total):
         raise NumericError("initial mass variables do not sum to F(1)")
     return z
@@ -290,13 +290,13 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
         target_mass = left_primed + float(state.z[j - 1])
     x, y = state.positions, _carried_masses(field, state)
     left = float(y[j - 2]) if j >= 2 else 0.0
-    c = field._inverse_scalar(min(field.total_mass, left + target_mass))
+    c = field.inverse_cdf(min(field.total_mass, left + target_mass))
     if j >= 2 and c < x[j - 2]:
         # the target mass is >= F(x_{j-1}), so c >= x_{j-1} holds exactly in
         # real arithmetic; guard the one-ulp inversion case
         c, y_c = float(x[j - 2]), left
     else:
-        y_c = field._cdf_scalar(c)
+        y_c = field.cdf(c)
     # the agents overtaken by c are the ordered tail's prefix below it
     pushed = j + int(np.searchsorted(x[j:], c))
     x[j - 1:pushed] = c

@@ -54,6 +54,43 @@ def test_optimal_zero_agents_is_usage_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+HUGE = "100000000000000000000"   # 1e20 agents: no float64 array holds them
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", HUGE],
+    ["simulate", "--n", HUGE, "--init", "all-one"],
+    ["simulate", "--law", "dynamic", "--n", HUGE],
+    ["simulate", "--law", "dynamic", "--n", HUGE, "--init", "all-one"],
+    ["optimal", "--n", HUGE],
+    ["chain", "--n", HUGE, "--big-u", "5"],
+    ["sweep", "--n-list", f"5,{HUGE}", "--runs", "1"],
+    ["simulate", "--scenario", "huge.json"],
+], ids=["static", "static-all-one", "dynamic", "dynamic-all-one", "optimal", "chain",
+        "sweep", "scenario"])
+def test_agent_counts_beyond_any_array_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    # refused by the count's range check, before anything is allocated
+    (tmp_path / "huge.json").write_text('{"n": 1e300}')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LINECOVER_OUT", str(tmp_path))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "agents, got n = " in error["message"]
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def out_of_memory(field, n):
+        raise MemoryError(f"Unable to allocate an array for {n} agents")
+
+    monkeypatch.setattr(linecover.cli, "optimal_configuration", out_of_memory)
+    code, out, err = run_cli(capsys, ["optimal", "--n", "3"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage",
+                               "message": "Unable to allocate an array for 3 agents"}
+
+
 def test_unknown_preset_is_parse_error(capsys):
     code, _, err = run_cli(capsys, ["optimal", "--density", "mystery", "--n", "3"])
     assert code == 3
