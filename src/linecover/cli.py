@@ -2,10 +2,10 @@
 
 Scenario JSON files are the reproducibility unit; flags override individual
 fields for exploration. Exit codes: 0 success, 2 usage or precondition
-error, 3 parse error, 4 numeric error. Failures print a machine-readable
-error object to stderr. CSV output is schema-stable with floats at 17
-significant digits; the default output directory comes from the
-LINECOVER_OUT environment variable.
+error, 3 parse error, 4 numeric error. Every failure, a malformed flag
+included, prints a machine-readable error object to stderr. CSV output is
+schema-stable with floats at 17 significant digits; the default output
+directory comes from the LINECOVER_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ EXIT_NUMERIC = 4
 _FLOAT = "%.17g"
 
 
-# field -> (default, type); each field is also a flag (U is --big-u), and a
+# field -> (default, type, help); each field is also a flag (U is --big-u), and a
 # field whose default is None also takes null in a scenario file
 _SCENARIO_DEFAULTS = {
-    "law": ("static", str), "density": ("uniform", str), "n": (5, int),
-    "init": ("random", str), "positions": (None, [float]), "seed": (0, int),
-    "tol": (1e-4, float), "max_rounds": (200_000, int), "U": (None, int),
-    "variant": ("uniformized", str), "rule": ("split", str),
+    "law": ("static", str, None),
+    "density": ("uniform", str, "preset name or density JSON path"),
+    "n": (5, int, None),
+    "init": ("random", str, "random | all-one | all-zero-perturbed"),
+    "positions": (None, [float], "explicit comma-separated start positions"),
+    "seed": (0, int, None), "tol": (1e-4, float, None), "max_rounds": (200_000, int, None),
+    "U": (None, int, None), "variant": ("uniformized", str, None), "rule": ("split", str, None),
 }
 
 
@@ -51,7 +54,7 @@ def load_scenario(path: str) -> dict:
         raise ParseError(f"scenario has unknown fields: {sorted(unknown)}")
     scenario = {}
     for key, value in data.items():
-        default, kind = _SCENARIO_DEFAULTS[key]
+        default, kind, _ = _SCENARIO_DEFAULTS[key]
         try:
             scenario[key] = (None if value is None and default is None
                              else typed(kind, value))
@@ -64,9 +67,9 @@ def build_scenario(args) -> dict:
     """Defaults, then the scenario file, then flags; checks law, law fields,
     agent count and stop rule. Explicit positions set n."""
     given = load_scenario(args.scenario) if args.scenario else {}
-    flags = dict(vars(args), U=args.big_u)
+    flags = vars(args)
     given.update((k, flags[k]) for k in _SCENARIO_DEFAULTS if flags[k] is not None)
-    scenario = {key: given.get(key, default) for key, (default, _) in _SCENARIO_DEFAULTS.items()}
+    scenario = {key: given.get(key, spec[0]) for key, spec in _SCENARIO_DEFAULTS.items()}
     if scenario["positions"] is not None:
         count = len(scenario["positions"])
         if given.get("n", count) != count:
@@ -245,25 +248,25 @@ def cmd_chain(args) -> int:
 # parser and dispatch
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed, unknown or missing flag as DomainError, which main
+    reports as JSON like any other usage error; subcommand parsers share the class."""
+
+    def error(self, message: str):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _add_common_run_flags(sub) -> None:
     sub.add_argument("--scenario", help="scenario JSON file (flags override)")
-    sub.add_argument("--law", choices=["static", "dynamic"])
-    sub.add_argument("--density", help="preset name or density JSON path")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--init", help="random | all-one | all-zero-perturbed")
-    sub.add_argument("--positions", type=float_list,
-                     help="explicit comma-separated start positions")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--max-rounds", type=int, dest="max_rounds")
-    sub.add_argument("--big-u", type=int, dest="big_u")
-    sub.add_argument("--variant", choices=list(lifted_chain.VARIANTS))
-    sub.add_argument("--rule", choices=list(lifted_chain.MOVEMENT_RULES))
+    for field, (_, kind, text) in _SCENARIO_DEFAULTS.items():
+        flag = "--big-u" if field == "U" else "--" + field.replace("_", "-")
+        sub.add_argument(flag, dest=field, type=float_list if kind == [float] else kind,
+                         help=text)
     sub.add_argument("--out-dir", dest="out_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linecover",
         description="Coverage-control simulation toolkit on a nonuniform 1-D field",
     )
@@ -298,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chain", help="emit a lifted chain and its diagnostics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--big-u", type=int, required=True, dest="big_u")
-    p.add_argument("--variant", choices=list(lifted_chain.VARIANTS),
-                   default="figure2")
+    p.add_argument("--variant", default="figure2")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--prefix", default="chain")
@@ -313,13 +315,11 @@ def _error_json(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:   # --help, after printing the help text
+        return EXIT_OK
     except ParseError as exc:
         _error_json("parse", exc)
         return EXIT_PARSE

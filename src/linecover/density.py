@@ -227,8 +227,7 @@ class DensityField:
             _inside(m, self.total_mass, "mass values must lie in [0, F(1)]"))
 
     def _inverse_vector(self, m: np.ndarray) -> np.ndarray:
-        k = np.clip(np.searchsorted(self._knot_f, m, side="right") - 1, 0,
-                    self._knot_x.size - 2)
+        k = np.searchsorted(self._knot_f[:-1], m, side="right") - 1
         j = k // _KNOT_CELLS
         lo, hi = self._knot_x[k], self._knot_x[k + 1]
         c_lo, c_hi = self._knot_f[k], self._knot_f[k + 1]
@@ -275,8 +274,7 @@ class DensityField:
 
     def _inverse_scalar(self, m: float) -> float:
         m = _inside(m, self.total_mass, "mass values must lie in [0, F(1)]")
-        k = bisect.bisect_right(self._knot_f_list, m) - 1
-        k = min(max(k, 0), len(self._knot_x_list) - 2)
+        k = bisect.bisect_right(self._knot_f_list, m, 0, len(self._knot_f_list) - 1) - 1
         lo, hi = self._knot_x_list[k], self._knot_x_list[k + 1]
         c_lo, c_hi = self._knot_f_list[k], self._knot_f_list[k + 1]
         if m == c_lo:
@@ -351,14 +349,20 @@ def coverage(field: DensityField, positions) -> float:
     return float(np.max(gap_vector(field, positions))) / 2.0
 
 
+def check_agent_count(n: int) -> int:
+    """n, if 1 <= n <= MAX_AGENTS; DomainError otherwise."""
+    if not 1 <= n <= MAX_AGENTS:
+        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
+    return n
+
+
 def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, float]:
     """The unique configuration balancing all boundary-doubled mass gaps.
 
     Places agent j at F^{-1}(F(1) (2j - 1) / (2n)); its coverage
     F(1) / (2n) is the best achievable by n agents.
     """
-    if not 1 <= n <= MAX_AGENTS:
-        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
+    check_agent_count(n)
     targets = field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     positions = field.inverse_cdf(targets)
     return positions, field.total_mass / (2.0 * n)

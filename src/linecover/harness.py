@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import MAX_AGENTS, DensityField, gap_vector
+from .density import DensityField, check_agent_count, gap_vector
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
@@ -71,8 +71,7 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
     mode = _INIT_ALIASES.get(mode, mode)
     if mode not in INIT_MODES:
         raise DomainError(f"unknown init mode {mode!r}")
-    if not 1 <= n <= MAX_AGENTS:
-        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
+    check_agent_count(n)
     if mode == "random-uniform-order-statistics":
         if rng is None:
             raise DomainError("random init needs a seeded generator")
@@ -169,7 +168,7 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
         raise DomainError("runs must be at least 1")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    n_list = [int(n) for n in n_list]
+    n_list = [check_agent_count(int(n)) for n in n_list]   # all, before any cell runs
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")
     cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds, options)

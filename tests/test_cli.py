@@ -23,7 +23,8 @@ from linecover import (
     run_one,
     stationary,
 )
-from linecover.cli import entrypoint, main
+from linecover.cli import _SCENARIO_DEFAULTS, entrypoint, main
+from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 
 
 def run_cli(capsys, argv):
@@ -65,16 +66,22 @@ HUGE = "100000000000000000000"   # 1e20 agents: no float64 array holds them
     ["optimal", "--n", HUGE],
     ["chain", "--n", HUGE, "--big-u", "5"],
     ["sweep", "--n-list", f"5,{HUGE}", "--runs", "1"],
+    ["sweep", "--law", "dynamic", "--n-list", f"200,{HUGE}", "--runs", "4"],
     ["simulate", "--scenario", "huge.json"],
 ], ids=["static", "static-all-one", "dynamic", "dynamic-all-one", "optimal", "chain",
-        "sweep", "scenario"])
+        "sweep", "sweep-after-a-valid-count", "scenario"])
 def test_agent_counts_beyond_any_array_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
-    # refused by the count's range check, before anything is allocated
+    # refused by the count's range check, before anything is allocated or
+    # any run starts; a sweep checks every count before its first cell
     (tmp_path / "huge.json").write_text('{"n": 1e300}')
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("LINECOVER_OUT", str(tmp_path))
+    runs = []
+    real = linecover.harness.run_one
+    monkeypatch.setattr(linecover.harness, "run_one",
+                        lambda *args, **kw: runs.append(1) or real(*args, **kw))
     code, _, err = run_cli(capsys, argv)
-    assert code == 2
+    assert (code, runs) == (2, [])
     error = json.loads(err)
     assert error["error"] == "usage"
     assert "agents, got n = " in error["message"]
@@ -152,8 +159,60 @@ def test_unreadable_input_files_are_parse_errors(capsys, tmp_path, argv, kind,
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, ["optimal", "--wat", "1"])
-    assert code == 2
+    # argparse's own failures print the JSON error object, not usage text
+    for argv in (["optimal", "--wat", "1"], ["optimal", "--n", "3", "--wat", "1"], ["wat"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv,valid", [
+    (["simulate", "--law", "bogus"], ("static", "dynamic")),
+    (["simulate", "--law", "dynamic", "--variant", "bogus"], VARIANTS),
+    (["simulate", "--law", "dynamic", "--rule", "bogus"], MOVEMENT_RULES),
+    (["chain", "--n", "5", "--big-u", "5", "--variant", "bogus"], VARIANTS),
+], ids=["law", "variant", "rule", "chain-variant"])
+def test_law_variant_and_rule_are_checked_by_the_library(capsys, tmp_path, argv, valid):
+    # the flags take any string; the library's check names the valid values
+    code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert all(repr(value) in error["message"] for value in valid)
+    assert not list(tmp_path.iterdir())
+
+
+def _flag(field: str) -> str:
+    return "--big-u" if field == "U" else "--" + field.replace("_", "-")
+
+
+def test_simulate_help_names_every_run_flag(capsys):
+    code, out, err = run_cli(capsys, ["simulate", "--help"])
+    assert (code, err) == (0, "")
+    for flag in ["--scenario", "--out-dir", "--prefix", *map(_flag, _SCENARIO_DEFAULTS)]:
+        assert flag in out.split()
+
+
+# a value other than the default for each scenario field
+FLAG_VALUES = {"law": "dynamic", "density": "quadratic", "n": 4, "init": "all-one",
+               "positions": [0.2, 0.5, 0.8], "seed": 7, "tol": 1e-3, "max_rounds": 30,
+               "U": 7, "variant": "figure2", "rule": "pair"}
+
+
+@pytest.mark.parametrize("field", list(_SCENARIO_DEFAULTS))
+def test_every_scenario_field_is_a_flag(capsys, tmp_path, field):
+    value = FLAG_VALUES[field]
+    assert value != _SCENARIO_DEFAULTS[field][0]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    law = [] if field == "law" else ["--law", "dynamic"]   # U, variant and rule need it
+    stop = [] if field == "max_rounds" else ["--max-rounds", "40"]
+    code, out, err = run_cli(capsys, ["simulate", *law, *stop, _flag(field), text,
+                                      "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    echoed = json.loads(out)["scenario"][field]
+    assert echoed == value and type(echoed) is type(value)
+    if field == "positions":
+        assert all(type(v) is float for v in echoed)
 
 
 def test_console_entrypoint_exits_with_main_code(capsys, monkeypatch):
@@ -420,10 +479,13 @@ def test_scenario_parse_errors(capsys, tmp_path):
     ["simulate", "--positions", "0.1,abc"],
     ["sweep", "--n-list", "5,x"],
     ["simulate", "--positions", "0.1,nan,0.5"],
+    ["simulate", "--n", "x"],
+    ["sweep", "--runs", "1"],   # --n-list missing
 ])
 def test_malformed_flags_are_usage_errors(capsys, tmp_path, argv):
-    code, _, _ = run_cli(capsys, argv + ["--max-rounds", "10", "--out-dir", str(tmp_path)])
-    assert code == 2
+    code, out, err = run_cli(capsys, argv + ["--max-rounds", "10", "--out-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
 
 
 @pytest.mark.parametrize("key,value", [("n", "abc"), ("positions", "abc"), ("tol", "x"),
