@@ -21,7 +21,7 @@ import numpy as np
 from . import harness, lifted_chain, spectral
 from .density import optimal_configuration, read_json, resolve_density, typed
 from .errors import DomainError, NumericError, ParseError
-from .trace import ExperimentTrace, StopRule
+from .trace import ExperimentTrace, StopRule, check_record
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,6 +151,7 @@ def cmd_optimal(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = build_scenario(args)
+    record = check_record(args.record)   # before any set-up
     field = resolve_density(scenario["density"])
     law, n = scenario["law"], scenario["n"]
     if scenario["positions"] is not None:
@@ -159,13 +160,14 @@ def cmd_simulate(args) -> int:
         rng = harness.StreamRng(scenario["seed"], n, 0)
         x0 = harness.initial_positions(scenario["init"], n, rng, law=law)
     stop = StopRule(scenario["tol"], scenario["max_rounds"])
-    trace = harness.run_one(law, field, x0, stop, **_law_options(scenario))
+    trace = harness.run_one(law, field, x0, stop, record=record, **_law_options(scenario))
     rounds, converged = harness.convergence_time(trace, scenario["tol"])
 
     trace_path = _out_path(args, f"{args.prefix}_trace.csv")
     write_trace_csv(trace_path, trace)
     return _write_summary(args, {
         "scenario": scenario,
+        "record": record,
         "stop_reason": trace.stop_reason,
         "rounds": trace.final_round,
         "convergence_rounds": rounds,
@@ -280,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="run one trace of either law")
     _add_common_run_flags(p)
     p.add_argument("--prefix", default="simulate")
+    p.add_argument("--record", default="full",
+                   help="trace rows to write: full | summary (the final row only)")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("sweep", help="convergence-time scaling over n")

@@ -349,10 +349,10 @@ def coverage(field: DensityField, positions) -> float:
     return float(np.max(gap_vector(field, positions))) / 2.0
 
 
-def check_agent_count(n: int) -> int:
-    """n, if 1 <= n <= MAX_AGENTS; DomainError otherwise."""
-    if not 1 <= n <= MAX_AGENTS:
-        raise DomainError(f"need 1 to {MAX_AGENTS} agents, got n = {n}")
+def check_agent_count(n: int, n_min: int = 1) -> int:
+    """n, if n_min <= n <= MAX_AGENTS; DomainError otherwise."""
+    if not n_min <= n <= MAX_AGENTS:
+        raise DomainError(f"need {n_min} to {MAX_AGENTS} agents, got n = {n}")
     return n
 
 

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lifted_chain, static_law
 from .density import DensityField, check_agent_count, gap_vector
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
@@ -19,6 +20,9 @@ from .trace import ExperimentTrace, StopRule
 
 INIT_MODES = ("random-uniform-order-statistics", "all-one", "all-zero-perturbed")
 _INIT_ALIASES = {"random": "random-uniform-order-statistics"}
+
+# The fewest agents each law runs with.
+_MIN_AGENTS = {"static": static_law.MIN_AGENTS, "dynamic": lifted_chain.MIN_AGENTS}
 
 # Ramp spacing used to make degenerate starts legal for the dynamic law's
 # distinct-position cell initialization, invisible at display precision.
@@ -41,22 +45,30 @@ class ConvergenceTime(NamedTuple):
 
 
 def convergence_time(trace: ExperimentTrace, tol: float) -> ConvergenceTime:
-    """First round whose squared position error stays below tol to trace end.
+    """First round whose squared position error stays at or below tol to
+    the trace's end.
 
-    Returns (last round, converged=False) when the criterion never locks in.
+    Returns (final round, converged=False) when the criterion never locks
+    in. Every round counts, recorded or not: at the tol the run's stop rule
+    judged, the answer is the trace's ``settled_round``, under every
+    recording policy. A ``full`` trace also answers any other tol from its
+    rows; a ``summary`` trace cannot, and raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    last_bad = None
-    for idx in range(len(trace.rows) - 1, -1, -1):
-        if trace.rows[idx].residual_sq > tol:
-            last_bad = idx
-            break
-    if last_bad is None:
-        return ConvergenceTime(trace.rows[0].t, True)
-    if last_bad == len(trace.rows) - 1:
-        return ConvergenceTime(trace.rows[-1].t, False)
-    return ConvergenceTime(trace.rows[last_bad + 1].t, True)
+    if tol == trace.stop_tol:
+        settled = trace.settled_round
+    elif trace.record == "full":
+        settled = trace.rows[0].t
+        for row in reversed(trace.rows):
+            if row.residual_sq > tol:
+                settled = row.t + 1
+                break
+    else:
+        raise DomainError(f"a trace recorded as {trace.record!r} holds the convergence "
+                          f"round only for its stop tol {trace.stop_tol!r}, not {tol!r}")
+    final = trace.final_round
+    return ConvergenceTime(final, False) if settled > final else ConvergenceTime(settled, True)
 
 
 def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
@@ -129,23 +141,28 @@ def loglog_fit(ns, values) -> FitResult:
     return FitResult(float(slope), float(intercept), r2)
 
 
-def run_one(law: str, field: DensityField, positions0, stop: StopRule,
-            **options) -> ExperimentTrace:
-    """Dispatch a single run; ``options`` go to the dynamic law's ``initialize_state``."""
+def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
+            record: str = "full", **options) -> ExperimentTrace:
+    """Dispatch a single run; ``record`` is the trace's recording policy and
+    ``options`` go to the dynamic law's ``initialize_state``."""
     if law == "static" and options:
         raise DomainError(f"the static law takes no dynamic-law options {sorted(options)}")
     if law == "static":
-        return run_static(field, positions0, stop)
+        return run_static(field, positions0, stop, record=record)
     if law == "dynamic":
-        return run_dynamic(field, positions0, stop, **options)
+        return run_dynamic(field, positions0, stop, record=record, **options)
     raise DomainError(f"unknown law {law!r}")
 
 
 def _sweep_cell(law: str, field: DensityField, init_mode: str, seed: int, tol: float,
                 max_rounds: int, options: dict, n: int, run: int) -> int:
-    """Convergence rounds of run ``run`` at n agents, from substream (seed, n, run)."""
+    """Convergence rounds of run ``run`` at n agents, from substream (seed, n, run).
+
+    The cell reads one integer from its run, which the ``summary`` policy
+    keeps without recording a row per round.
+    """
     x0 = initial_positions(init_mode, n, StreamRng(seed, n, run), law=law)
-    trace = run_one(law, field, x0, StopRule(tol, max_rounds), **options)
+    trace = run_one(law, field, x0, StopRule(tol, max_rounds), record="summary", **options)
     rounds, converged = convergence_time(trace, tol)
     if not converged:
         raise NumericError(
@@ -168,7 +185,8 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
         raise DomainError("runs must be at least 1")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    n_list = [check_agent_count(int(n)) for n in n_list]   # all, before any cell runs
+    n_min = _MIN_AGENTS.get(law, 1)
+    n_list = [check_agent_count(int(n), n_min) for n in n_list]   # all, before any cell runs
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")
     cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds, options)

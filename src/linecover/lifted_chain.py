@@ -49,6 +49,7 @@ from .density import MAX_AGENTS, DensityField, check_positions, mass_gaps
 from .errors import DomainError, NumericError
 from .trace import ExperimentTrace, StopRule, run_rounds
 
+MIN_AGENTS = 3
 VARIANTS = ("figure2", "uniformized")
 MOVEMENT_RULES = ("pair", "split")
 
@@ -119,7 +120,7 @@ class DynamicState:
 
     @property
     def zsum(self) -> float:
-        return float(np.sum(self.z))
+        return float(self.z.sum())
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +129,9 @@ class DynamicState:
 
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
-    if not 3 <= n <= MAX_AGENTS:
-        raise DomainError(f"the dynamic law needs 3 to {MAX_AGENTS} agents, got n = {n}")
+    if not MIN_AGENTS <= n <= MAX_AGENTS:
+        raise DomainError(f"the dynamic law needs {MIN_AGENTS} to {MAX_AGENTS} agents, "
+                          f"got n = {n}")
     if big_u < 3:
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
@@ -215,7 +217,7 @@ def init_z(field: DensityField, positions) -> np.ndarray:
     positions must be distinct for the cells to be well defined; later
     coincidences created by pushing are fine because initialization runs once.
     """
-    x = check_positions(positions, n_min=3)
+    x = check_positions(positions, n_min=MIN_AGENTS)
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("initial positions must be distinct for cell setup")
     total = field.total_mass
@@ -237,7 +239,7 @@ def initialize_state(field: DensityField, positions, *, big_u: int | None = None
     """
     if movement_rule not in MOVEMENT_RULES:
         raise DomainError(f"movement rule must be one of {MOVEMENT_RULES}")
-    x = check_positions(positions, n_min=3)
+    x = check_positions(positions, n_min=MIN_AGENTS)
     n = x.size
     big_u = n if big_u is None else big_u
     if big_u < n:
@@ -298,7 +300,7 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
     else:
         y_c = field.cdf(c)
     # the agents overtaken by c are the ordered tail's prefix below it
-    pushed = j + int(np.searchsorted(x[j:], c))
+    pushed = j + int(x[j:].searchsorted(c))
     x[j - 1:pushed] = c
     y[j - 1:pushed] = y_c
     return state
@@ -356,11 +358,12 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
 # ----------------------------------------------------------------------
 
 def simulate_dynamic(field: DensityField, state: DynamicState,
-                     stop: StopRule) -> ExperimentTrace:
+                     stop: StopRule, *, record: str = "full") -> ExperimentTrace:
     """Run rounds from the current state until the stop rule fires.
 
-    Rows are numbered by the state's round index and also record the
-    conserved mass total. ``max_rounds`` counts rounds executed by this
+    Rows are numbered by the state's round index, kept by the policy
+    ``record`` (see :func:`linecover.trace.run_rounds`), and also record
+    the conserved mass total. ``max_rounds`` counts rounds executed by this
     call, so churn scenarios can resume a state. An unset ``persist`` is
     one token cycle of U rounds, since one agent moves per round.
     """
@@ -372,11 +375,12 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
         return state.positions, state.masses
 
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
-                      t=state.round_index, zsum=lambda: state.zsum)
+                      t=state.round_index, zsum=lambda: state.zsum, record=record)
 
 
-def run_dynamic(field: DensityField, positions0, stop: StopRule,
-                **options) -> ExperimentTrace:
+def run_dynamic(field: DensityField, positions0, stop: StopRule, *,
+                record: str = "full", **options) -> ExperimentTrace:
     """Initialize from positions0 and simulate until the stop rule fires;
     ``options`` (U, variant, movement rule) go to :func:`initialize_state`."""
-    return simulate_dynamic(field, initialize_state(field, positions0, **options), stop)
+    return simulate_dynamic(field, initialize_state(field, positions0, **options), stop,
+                            record=record)

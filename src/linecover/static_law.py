@@ -20,6 +20,8 @@ import numpy as np
 from .density import DensityField, check_positions
 from .trace import ExperimentTrace, StopRule, run_rounds
 
+MIN_AGENTS = 2   # the leftmost and rightmost agents each need a neighbour
+
 
 def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
     """One simultaneous median update, evaluated at the old positions.
@@ -27,7 +29,7 @@ def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
     ``masses``, when given, must be ``field.cdf`` of the validated
     positions; the positions are then neither validated nor mapped again.
     """
-    y = field.cdf(check_positions(positions, n_min=2)) if masses is None else masses
+    y = field.cdf(check_positions(positions, n_min=MIN_AGENTS)) if masses is None else masses
     targets = np.empty_like(y)
     targets[0] = y[1] / 3.0
     if y.size > 2:
@@ -40,11 +42,13 @@ def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
     return np.maximum.accumulate(field.inverse_cdf(targets))
 
 
-def run_static(field: DensityField, positions0, stop: StopRule) -> ExperimentTrace:
-    """Iterate the static law until the stop rule fires."""
+def run_static(field: DensityField, positions0, stop: StopRule, *,
+               record: str = "full") -> ExperimentTrace:
+    """Iterate the static law until the stop rule fires, recording rows by
+    the policy ``record`` (see :func:`linecover.trace.run_rounds`)."""
     def step(x, y):
         x = static_step(field, x, y)
         return x, field.cdf(x)
 
-    x = check_positions(positions0, n_min=2)
-    return run_rounds(field, x, field.cdf(x), step, stop)
+    x = check_positions(positions0, n_min=MIN_AGENTS)
+    return run_rounds(field, x, field.cdf(x), step, stop, record=record)

@@ -46,18 +46,40 @@ class TraceRow:
     zsum: float | None = None
 
 
+RECORD_POLICIES = ("full", "summary")
+
+
+def check_record(policy: str) -> str:
+    """policy, if it is a recording policy; DomainError otherwise.
+
+    ``full`` keeps a row for every round, ``summary`` for the final round
+    only.
+    """
+    if policy not in RECORD_POLICIES:
+        raise DomainError(f"record must be one of {RECORD_POLICIES}, got {policy!r}")
+    return policy
+
+
 @dataclass
 class ExperimentTrace:
-    """Per-round record of one run: positions, coverage, optimality residual.
+    """Record of one run: positions, coverage, optimality residual per row.
 
-    Dynamic runs also record the conserved mass total per round. ``t`` is
-    strictly increasing; it starts at 0 for fresh runs and at the resume
-    round for continuations after agent churn.
+    Dynamic runs also record the conserved mass total per row. ``t`` is
+    strictly increasing; it starts at the entry round, 0 for fresh runs and
+    the resume round for continuations after agent churn. ``record`` names
+    the policy that chose the rows (see :func:`check_record`); the final
+    round always has one. ``settled_round`` is one past the last round
+    whose residual exceeded ``stop_tol``, the tol the stop rule judged
+    (the entry round if none did); it covers every round whatever the
+    policy, and means nothing when ``stop_tol`` is None.
     """
 
     metadata: dict
     rows: list[TraceRow] = field(default_factory=list)
     stop_reason: str = ""
+    record: str = "full"
+    stop_tol: float | None = None
+    settled_round: int = 0
 
     @property
     def final_positions(self) -> np.ndarray:
@@ -75,50 +97,61 @@ class ExperimentTrace:
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
                step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
                stop: StopRule, *, t: int = 0,
-               zsum: Callable[[], float] | None = None) -> ExperimentTrace:
+               zsum: Callable[[], float] | None = None,
+               record: str = "full") -> ExperimentTrace:
     """Advance a run round by round until the stop rule fires.
 
     The loop carries the agents' masses y = F(x) next to their positions:
     ``positions`` must already be validated and ``masses`` must be their
     ``field.cdf``, and ``step`` performs one round of the law, mapping
-    (x, y) to the new (x, y). One row is recorded per round, including the
-    entry state, numbered from ``t``: coverage, half the largest
-    boundary-doubled gap of y, and the squared distance to the optimal
-    configuration for the run's agent count. That optimum is also the
-    limit of both laws, so the stop criterion is computable online.
-    ``zsum``, when given, returns the conserved mass total, which is
-    recorded and must stay at F(1). ``max_rounds`` counts the rounds
-    executed by this call, so churn scenarios can resume a run.
+    (x, y) to the new (x, y). Rounds are numbered from ``t``, the entry
+    state included. ``max_rounds`` counts the rounds executed by this call,
+    so churn scenarios can resume a run.
 
-    Each row checks only that the positions are ordered and inside [0, 1];
-    at the end the last row's coverage is recomputed from the final
+    Every round computes the squared distance to the optimal configuration
+    for the run's agent count, which drives the stop rule (that optimum is
+    also the limit of both laws, so the criterion is computable online),
+    and tracks the trace's ``settled_round`` from it. ``zsum``, when given,
+    returns the conserved mass total, which must stay at F(1) in every
+    round. ``record`` chooses the rounds that keep a row (positions,
+    coverage as half the largest boundary-doubled gap of y, residual and
+    zsum): every round under ``full``, the final round only under
+    ``summary``. Coverage is computed for those rounds only.
+
+    Every round checks that the positions are ordered and inside [0, 1];
+    at the end the final row's coverage is recomputed from the final
     positions. Either failure is an internal fault and raises NumericError.
     """
+    every_round = check_record(record) == "full"
     x, y = positions, masses
     xstar, phi_star = optimal_configuration(field, x.size)
     total = field.total_mass
-    trace = ExperimentTrace(metadata={"phi_star": phi_star})
+    tol = stop.tol
+    trace = ExperimentTrace(metadata={"phi_star": phi_star}, record=record, stop_tol=tol)
     persist = 1 if stop.persist is None else stop.persist
-    streak = 0
+    streak, settled = 0, t
     for k in range(stop.max_rounds + 1):
-        if not (x[0] >= 0.0 and x[-1] <= 1.0 and np.all(x[1:] >= x[:-1])):
+        if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
             raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
         mass = None
         if zsum is not None:
             mass = zsum()
             if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
                 raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
-        residual = float(np.sum((x - xstar) ** 2))
-        phi = float(np.max(mass_gaps(y, total))) / 2.0
-        trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
-        streak = streak + 1 if stop.tol is not None and residual <= stop.tol else 0
-        if streak >= persist:
-            trace.stop_reason = "tol"
-            break
-        if k == stop.max_rounds:
-            trace.stop_reason = "max_rounds"
+        residual = float(np.square(x - xstar).sum())
+        if tol is not None and residual <= tol:
+            streak += 1
+        else:
+            streak, settled = 0, t + k + 1
+        reason = "tol" if streak >= persist else "max_rounds" if k == stop.max_rounds else ""
+        if reason or every_round:
+            phi = float(np.max(mass_gaps(y, total))) / 2.0
+            trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
+        if reason:
+            trace.stop_reason = reason
             break
         x, y = step(x, y)
+    trace.settled_round = settled
     if coverage(field, x) != trace.final_phi:
         raise NumericError("carried masses drifted from F(positions)")
     return trace

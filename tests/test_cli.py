@@ -87,6 +87,22 @@ def test_agent_counts_beyond_any_array_are_usage_errors(capsys, tmp_path, monkey
     assert "agents, got n = " in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--law", "static", "--n-list", "200,1", "--runs", "2"],
+    ["sweep", "--law", "dynamic", "--n-list", "200,2", "--runs", "4"],
+], ids=["static", "dynamic"])
+def test_sweep_checks_each_law_minimum_before_any_cell(capsys, tmp_path, monkeypatch, argv):
+    # 2 agents for the static law and 3 for the dynamic law, checked with the
+    # range of every count before the first cell runs
+    runs = []
+    monkeypatch.setattr(linecover.harness, "run_one", lambda *args, **kw: runs.append(1))
+    code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert (code, out, runs) == (2, "", [])
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert re.search(r"need [23] to \d+ agents, got n = [12]$", error["message"])
+
+
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def out_of_memory(field, n):
         raise MemoryError(f"Unable to allocate an array for {n} agents")
@@ -557,6 +573,44 @@ def test_trace_csv_golden_bytes(capsys, tmp_path, law, positions):
              "" if row.zsum is None else row.zsum] for row in trace.rows]
     assert len(rows) == 4
     assert (tmp_path / "simulate_trace.csv").read_bytes() == _crlf_bytes(header, rows)
+
+
+@pytest.mark.parametrize("law", ["static", "dynamic"])
+def test_simulate_record_summary_writes_the_final_row(capsys, tmp_path, law):
+    base = ["simulate", "--law", law, "--density", "quadratic", "--n", "6", "--seed", "2",
+            "--max-rounds", "40", "--tol", "1e-9"]
+    code, out, _ = run_cli(capsys, base + ["--out-dir", str(tmp_path / "full")])
+    assert code == 0
+    full = json.loads(out)
+    assert full["record"] == "full"
+    code, out, _ = run_cli(capsys, base + ["--record", "summary",
+                                           "--out-dir", str(tmp_path / "summary")])
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["record"] == "summary"
+    # the same run: only the trace rows differ, the scenario echo does not
+    summary.pop("trace_csv"), full.pop("trace_csv")
+    assert {**summary, "record": "full"} == full
+    lines = (tmp_path / "full" / "simulate_trace.csv").read_bytes().splitlines(True)
+    rounds = [int(line.split(b",")[0]) for line in lines[1:]]
+    assert rounds == list(range(41))
+    assert (tmp_path / "summary" / "simulate_trace.csv").read_bytes() == b"".join(
+        [lines[0], lines[-1]])
+
+
+@pytest.mark.parametrize("record", ["every:0", "every:x", "bogus"])
+def test_simulate_refuses_a_malformed_record_policy(capsys, tmp_path, monkeypatch, record):
+    # refused before the start positions are drawn
+    drawn = []
+    monkeypatch.setattr(linecover.harness, "initial_positions",
+                        lambda *args, **kw: drawn.append(1))
+    code, out, err = run_cli(capsys, ["simulate", "--record", record,
+                                      "--out-dir", str(tmp_path)])
+    assert (code, out, drawn) == (2, "", [])
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "record must be one of" in error["message"] and repr(record) in error["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_chain_csv_golden_bytes(capsys, tmp_path):

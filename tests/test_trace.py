@@ -1,0 +1,148 @@
+"""Recording policies of the shared round loop: which rows a run keeps, and
+that everything read from a run is the same under either policy."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import linecover.harness
+from linecover import (
+    DomainError,
+    StopRule,
+    StreamRng,
+    add_agent,
+    convergence_time,
+    initial_positions,
+    initialize_state,
+    remove_agent,
+    resolve_density,
+    run_one,
+    simulate_dynamic,
+    sweep,
+)
+from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
+from linecover.trace import check_record
+
+
+def scan_convergence(trace, tol):
+    """Reference: the convergence round read from a full trace's rows."""
+    above = [k for k, row in enumerate(trace.rows) if row.residual_sq > tol]
+    if not above:
+        return trace.rows[0].t, True
+    if above[-1] == len(trace.rows) - 1:
+        return trace.rows[-1].t, False
+    return trace.rows[above[-1] + 1].t, True
+
+
+def same_row(a, b):
+    return (a.t == b.t and a.positions.tobytes() == b.positions.tobytes()
+            and a.phi == b.phi and a.residual_sq == b.residual_sq and a.zsum == b.zsum)
+
+
+def check_policies(run, tol):
+    """Run ``run(record)`` under both policies; ``summary`` must agree with
+    ``full``, which is returned."""
+    full = run("full")
+    assert convergence_time(full, tol) == scan_convergence(full, tol)
+    summary = run("summary")
+    assert (summary.stop_reason, summary.final_round) == (full.stop_reason, full.final_round)
+    assert convergence_time(summary, tol) == convergence_time(full, tol)
+    assert len(summary.rows) == 1 and same_row(summary.rows[0], full.rows[-1])
+    # only the stop tol's convergence round was kept
+    with pytest.raises(DomainError, match="stop tol"):
+        convergence_time(summary, tol * 2.0)
+    # the full trace answers any tol from its rows
+    assert convergence_time(full, tol * 2.0) == scan_convergence(full, tol * 2.0)
+    return full
+
+
+LAWS = [("static", {})] + [("dynamic", {"variant": v, "movement_rule": r})
+                           for v in VARIANTS for r in MOVEMENT_RULES]
+
+
+@given(law=st.sampled_from(LAWS), density=st.sampled_from(["uniform", "quadratic"]),
+       n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1),
+       max_rounds=st.integers(1, 150), pick=st.integers(0, 150),
+       persist=st.sampled_from([None, 1, 3]))
+def test_summary_reads_like_full(law, density, n, seed, max_rounds, pick, persist):
+    name, options = law
+    field = resolve_density(density)
+    x0 = initial_positions("random", n, StreamRng(seed, n, 0), law=name)
+    # a tol just under round pick's residual, so that round is the last one
+    # above it whenever the residual falls afterwards
+    free = run_one(name, field, x0, StopRule(tol=None, max_rounds=max_rounds), **options)
+    residual = free.rows[min(pick, max_rounds)].residual_sq
+    tol = float(np.nextafter(residual, 0.0)) if residual > 0.0 else 1e-300
+    stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+    check_policies(lambda record: run_one(name, field, x0, stop, record=record, **options),
+                   tol)
+
+
+@given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(1, 40),
+       variant=st.sampled_from(VARIANTS))
+def test_summary_reads_like_full_after_churn(seed, warmup, variant):
+    field = resolve_density("quadratic")
+    n, tol = 8, 1e-3
+
+    def run(record):
+        rng = StreamRng(seed, n, 1)
+        state = initialize_state(field, initial_positions("random", n, rng, law="dynamic"),
+                                 variant=variant)
+        simulate_dynamic(field, state, StopRule(tol=None, max_rounds=warmup))
+        remove_agent(state, rng.randint(1, state.n))
+        add_agent(state, rng.uniform())
+        add_agent(state, rng.uniform())
+        return simulate_dynamic(field, state, StopRule(tol=tol, max_rounds=400),
+                                record=record)
+
+    full = check_policies(run, tol)
+    assert full.rows[0].t == warmup   # numbered from the resume round
+
+
+@pytest.mark.parametrize("record", ["full", "summary"])
+def test_check_record(record):
+    assert check_record(record) == record
+
+
+@pytest.mark.parametrize("record", ["every:0", "every:1", "every:x", "bogus", "Full", "",
+                                    "summary:1", None, 5])
+def test_check_record_rejects_other_policies(uniform_field, record):
+    with pytest.raises(DomainError, match="record must be one of"):
+        check_record(record)
+    # refused before any round runs, by either law
+    for law, x0 in (("static", [0.2, 0.8]), ("dynamic", [0.2, 0.5, 0.8])):
+        with pytest.raises(DomainError, match="record must be one of"):
+            run_one(law, uniform_field, x0, StopRule(max_rounds=5), record=record)
+
+
+def test_summary_keeps_the_last_round_above_tol_wherever_it_falls(uniform_field):
+    # a static run whose residual falls every round: with tol just under
+    # round k's residual, round k is the last one above it, for every k
+    x0 = [0.2, 0.6]
+    free = run_one("static", uniform_field, x0, StopRule(tol=None, max_rounds=30))
+    residuals = [row.residual_sq for row in free.rows]
+    assert all(a > b for a, b in zip(residuals, residuals[1:]))
+    for k, residual in enumerate(residuals):
+        tol = float(np.nextafter(residual, 0.0))
+        trace = run_one("static", uniform_field, x0, StopRule(tol=tol, max_rounds=30),
+                        record="summary")
+        assert len(trace.rows) == 1
+        assert convergence_time(trace, tol) == ((k + 1, True) if k < 30 else (30, False))
+
+
+def test_sweep_cells_record_one_row(uniform_field, monkeypatch):
+    traces = []
+    real = linecover.harness.run_one
+    monkeypatch.setattr(linecover.harness, "run_one",
+                        lambda *args, **kw: traces.append(real(*args, **kw)) or traces[-1])
+    table = sweep("dynamic", uniform_field, [4, 6], runs=2, init_mode="random", seed=31)
+    assert [len(trace.rows) for trace in traces] == [1] * 4
+    assert [trace.record for trace in traces] == ["summary"] * 4
+    # each cell's count is its run's convergence round over every round
+    full = [real("dynamic", uniform_field,
+                 initial_positions("random", n, StreamRng(31, n, run), law="dynamic"),
+                 StopRule(1e-4, 200_000)) for n in (4, 6) for run in range(2)]
+    counts = [convergence_time(trace, 1e-4).rounds for trace in full]
+    assert [row.mean_rounds for row in table.rows] == [
+        np.mean(counts[:2]), np.mean(counts[2:])]
