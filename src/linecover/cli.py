@@ -115,15 +115,33 @@ def write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
 
 
 def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
-    """Round, positions, phi, residual and zsum, which is empty for the static law."""
+    """Round, positions, phi, residual and zsum, which is empty for the static law.
+
+    A position whose float64 bits are unchanged since the previous row reuses
+    that row's text; only the agents that moved are formatted again. Bits,
+    not values, decide, because -0.0 == 0.0 but they print as -0 and 0.
+    """
     n = len(trace.rows[0].positions)
     header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
     dynamic = trace.rows[0].zsum is not None
-    fmt = ",".join(["%d"] + [_FLOAT] * (n + 2) + [_FLOAT if dynamic else ""])
-    write_csv(path, header, fmt, (
-        [row.t, *row.positions.tolist(), row.phi, row.residual_sq]
-        + ([row.zsum] if dynamic else [])
-        for row in trace.rows))
+    fmt = ",".join(["%d", "%s", _FLOAT, _FLOAT, _FLOAT if dynamic else ""])
+
+    def rows():
+        cells = [""] * n
+        # differs from the first row in every bit, so that row formats every agent
+        previous = ~trace.rows[0].positions.view(np.uint64)
+        for row in trace.rows:
+            bits = row.positions.view(np.uint64)
+            moved = (bits != previous).nonzero()[0]
+            # one % for all the moved values; "%.17g" text holds no comma
+            texts = ",".join([_FLOAT] * moved.size) % tuple(row.positions[moved].tolist())
+            for i, text in zip(moved.tolist(), texts.split(",")):
+                cells[i] = text
+            previous = bits
+            yield (row.t, ",".join(cells), row.phi, row.residual_sq,
+                   *((row.zsum,) if dynamic else ()))
+
+    write_csv(path, header, fmt, rows())
 
 
 def _write_summary(args, summary: dict) -> int:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import linecover
 from linecover import (
@@ -557,6 +559,15 @@ def _crlf_bytes(header, rows) -> bytes:
     return b"".join(",".join(cells).encode() + b"\r\n" for cells in lines)
 
 
+def _trace_bytes(trace) -> bytes:
+    """The trace CSV of a run, every cell formatted from its row."""
+    n = len(trace.rows[0].positions)
+    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
+    rows = [[str(row.t), *row.positions, row.phi, row.residual_sq,
+             "" if row.zsum is None else row.zsum] for row in trace.rows]
+    return _crlf_bytes(header, rows)
+
+
 @pytest.mark.parametrize("law,positions", [("static", [0.2, 0.6]),
                                            ("dynamic", [0.1, 0.4, 0.8])])
 def test_trace_csv_golden_bytes(capsys, tmp_path, law, positions):
@@ -565,14 +576,77 @@ def test_trace_csv_golden_bytes(capsys, tmp_path, law, positions):
         "--positions", ",".join(map(str, positions)), "--out-dir", str(tmp_path),
     ])
     assert code == 0
-    n = len(positions)
     trace = run_one(law, resolve_density("quadratic"), np.array(positions),
                     StopRule(tol=1e-4, max_rounds=3))
-    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
-    rows = [[str(row.t), *row.positions, row.phi, row.residual_sq,
-             "" if row.zsum is None else row.zsum] for row in trace.rows]
-    assert len(rows) == 4
-    assert (tmp_path / "simulate_trace.csv").read_bytes() == _crlf_bytes(header, rows)
+    assert len(trace.rows) == 4
+    assert (tmp_path / "simulate_trace.csv").read_bytes() == _trace_bytes(trace)
+
+
+def test_trace_csv_keeps_the_sign_of_zero(capsys, tmp_path):
+    # -0.0 == 0.0, yet they print as -0 and 0: the first agent's text must
+    # change between rows 0 and 1 although its value does not
+    code, _, _ = run_cli(capsys, [
+        "simulate", "--law", "static", "--density", "uniform",
+        "--positions=-0.0,0.0,0.5,1.0", "--max-rounds", "3", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    trace = run_one("static", resolve_density("uniform"), np.array([-0.0, 0.0, 0.5, 1.0]),
+                    StopRule(tol=1e-4, max_rounds=3))
+    written = (tmp_path / "simulate_trace.csv").read_bytes()
+    assert written == _trace_bytes(trace)
+    assert [line.split(b",")[1] for line in written.splitlines()[1:3]] == [b"-0", b"0"]
+
+
+@pytest.mark.parametrize("law,init,n,seed,rounds,options", [
+    # each dynamic round moves the token holder and the agents it pushes
+    ("dynamic", "random", 120, 4, 400, {"variant": "uniformized", "movement_rule": "split"}),
+    # with U above n, rounds that only pass the token move no agent
+    ("dynamic", "random", 6, 5, 90, {"variant": "figure2", "movement_rule": "pair",
+                                     "big_u": 15}),
+    # from all-one, early static rounds leave the interior agents at 1.0
+    ("static", "all-one", 9, 0, 50, {}),
+])
+def test_trace_csv_golden_bytes_when_agents_keep_their_text(capsys, tmp_path, law, init, n,
+                                                            seed, rounds, options):
+    flags = {"big_u": "--big-u", "variant": "--variant", "movement_rule": "--rule"}
+    code, _, _ = run_cli(capsys, [
+        "simulate", "--law", law, "--density", "quadratic", "--init", init, "--n", str(n),
+        "--seed", str(seed), "--max-rounds", str(rounds), "--out-dir", str(tmp_path),
+        *(text for key, value in options.items() for text in (flags[key], str(value))),
+    ])
+    assert code == 0
+    x0 = initial_positions(init, n, StreamRng(seed, n, 0), law=law)
+    trace = run_one(law, resolve_density("quadratic"), x0,
+                    StopRule(tol=1e-4, max_rounds=rounds), **options)
+    # agents that changed bits from each row to the next: the run has rows
+    # that reuse some cells and format others
+    moved = [np.count_nonzero(a.positions.view(np.uint64) != b.positions.view(np.uint64))
+             for a, b in zip(trace.rows, trace.rows[1:])]
+    assert any(0 < count < n for count in moved)
+    if "big_u" in options:
+        assert 0 in moved
+    assert (tmp_path / "simulate_trace.csv").read_bytes() == _trace_bytes(trace)
+
+
+@given(law=st.sampled_from(["static", "dynamic"]),
+       density=st.sampled_from(["uniform", "quadratic"]), n=st.integers(3, 40),
+       seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(VARIANTS),
+       rule=st.sampled_from(MOVEMENT_RULES), rounds=st.integers(1, 80), data=st.data())
+def test_trace_csv_matches_its_rows(tmp_path_factory, law, density, n, seed, variant, rule,
+                                    rounds, data):
+    out = tmp_path_factory.mktemp("trace")
+    big_u = data.draw(st.integers(n, 2 * n), label="U")
+    options = {} if law == "static" else {
+        "big_u": big_u, "variant": variant, "movement_rule": rule}
+    flags = [] if law == "static" else [
+        "--big-u", str(big_u), "--variant", variant, "--rule", rule]
+    assert main(["simulate", "--law", law, "--density", density, "--n", str(n),
+                 "--seed", str(seed), "--max-rounds", str(rounds),
+                 "--out-dir", str(out), *flags]) == 0
+    x0 = initial_positions("random", n, StreamRng(seed, n, 0), law=law)
+    trace = run_one(law, resolve_density(density), x0,
+                    StopRule(tol=1e-4, max_rounds=rounds), **options)
+    assert (out / "simulate_trace.csv").read_bytes() == _trace_bytes(trace)
 
 
 @pytest.mark.parametrize("law", ["static", "dynamic"])
