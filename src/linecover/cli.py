@@ -108,9 +108,9 @@ def _out_path(args, name: str) -> Path:
 
 def write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
     """One header line, then ``fmt % row`` per row; every line ends in CRLF."""
-    line = fmt + "\n"
-    with open(path, "w", newline="\r\n") as handle:
-        handle.write(",".join(header) + "\n")
+    line = fmt + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
         handle.writelines(line % tuple(row) for row in rows)
 
 

@@ -10,25 +10,24 @@ the mirrored track, which jumps the cycle position by an even amount; U is
 the agents' estimate of n. The guided motion mixes in O(n) rounds instead
 of the O(n^2) of a diffusive walk, which is the whole point of the lift.
 
-Both edge sets are permutations of the 2n states: every state has exactly
-one continuing and one switching in-edge (the switching edges at 1' and n
-are self-loops, where the mirrored jump lands on the node itself). The
-chain is therefore stored as those two in-edge permutations, and a round
-z K is one gather and a two-term weighted sum, O(n), instead of a dense
-2n x 2n product. Rows sum to one and the support is irreducible (the
-continuing edges alone form the 2n-cycle) by construction.
+Both edge sets are permutations of the 2n states. In cycle order 1, ...,
+n, n', ..., 1' (p = 0, ..., 2n - 1) the continuing edges are the cyclic
+shift C, p -> p + 1 mod 2n, and the switching edges the reflection R,
+p -> 2n - 2 - p mod 2n, whose fixed points n and 1' are self-loops. So
+K = (1 - 1/U) C + (1/U) R, the shift-plus-flip lifted walk of Diaconis,
+Holmes & Neal (2000), stored as the in-edges of C (``sources[0]``) and R
+(``sources[1]``): a round z K is one gather and a two-term weighted sum,
+O(n), not a dense 2n x 2n product. C alone is the 2n-cycle, so the support
+is irreducible.
 
 Two variants are provided:
 
-* ``uniformized``: every node continues with 1 - 1/U and switches with
-  1/U. Its stationary vector is exactly uniform, so the mass pair sums
-  agents read off in the limit reproduce the balanced optimal
-  configuration.
-* ``figure2``: the same chain made lazy by 1/2 at the 2n - 4 interior
-  nodes (self-loop 1/2, continuing 1/2 (1 - 1/U), switching 1/(2U));
-  the boundary nodes 1, 1', n, n' are as in ``uniformized``. Its
-  stationary vector puts half as much mass on the four boundary states as
-  on each interior state.
+* ``uniformized``: K as above. A mixture of permutations is doubly
+  stochastic, so pi is exactly uniform, and the mass pair sums agents read
+  off in the limit reproduce the balanced optimal configuration.
+* ``figure2``: the same chain made lazy, diag(1 - s) + diag(s) K, where
+  s = ``share`` is 1 at the boundary nodes 1, n, n', 1' and 1/2 at the
+  2n - 4 interior ones; pi is proportional to 1/s.
 
 Movement is token-passing: at round t agent j = ((t-1) mod U) + 1 (if
 j <= n) moves so that the mass between its left neighbor and itself equals
@@ -63,7 +62,7 @@ class LiftedChain:
     State d receives its continuing edge from ``sources[0, d]`` and its
     switching edge from ``sources[1, d]``; states 0..n-1 are the unprimed
     agents 1..n and states n..2n-1 the primed ones. ``figure2`` uses the
-    same edges made lazy at the interior states.
+    same edges made lazy by ``share``.
     """
 
     n: int
@@ -81,15 +80,21 @@ class LiftedChain:
         switch = 1.0 / self.big_u
         return np.array([1.0 - switch, switch])
 
+    @cached_property
+    def share(self) -> np.ndarray:
+        """Part of each state's mass that leaves along its edges: 1, except
+        1/2 at ``figure2``'s interior states (all but 1, n, n', 1')."""
+        share = np.ones(self.size)
+        if self.variant == "figure2":
+            share[1:self.n - 1] = share[self.n + 1:-1] = 0.5
+        return share
+
     def apply(self, z: np.ndarray) -> np.ndarray:
         """z K along the last axis of z, in O(n) per row."""
         if self.variant == "uniformized":
             return np.dot(self.rates, z.take(self.sources, axis=-1))
-        # figure2: only the moving share m leaves a state; interior states
-        # keep half their mass, the four boundary states none
-        m = 0.5 * z
-        ends = [0, self.n - 1, self.n, 2 * self.n - 1]
-        m[..., ends] = z[..., ends]
+        # figure2: only the moving part m leaves a state, the rest stays
+        m = z * self.share
         return np.dot(self.rates, m.take(self.sources, axis=-1)) + (z - m)
 
     @property
@@ -151,17 +156,12 @@ def stationarity_residual(chain: LiftedChain, pi: np.ndarray) -> float:
 
 
 def stationary(chain: LiftedChain) -> np.ndarray:
-    """Stationary probability vector, in closed form.
-
-    Uniform for ``uniformized``; for ``figure2`` the boundary states 1, n,
-    1' and n' carry half the mass of each interior state. The closed form
-    is verified against the balance equations pi K = pi.
+    """Stationary probability vector, in closed form: pi proportional to
+    1 / ``chain.share`` (see the module docstring), verified against the
+    balance equations pi K = pi.
     """
-    n = chain.n
-    pi = np.ones(chain.size)
-    if chain.variant == "figure2":
-        pi[[0, n - 1, n, 2 * n - 1]] = 0.5
-    pi /= pi.sum()
+    weight = 1.0 / chain.share
+    pi = weight / weight.sum()
     residual = stationarity_residual(chain, pi)
     if residual > _STATIONARY_TOL:
         raise NumericError(f"stationary vector fails pi K = pi (residual {residual:.2e})")
@@ -182,20 +182,16 @@ def mixing_profile(chain: LiftedChain, eps: float) -> tuple[int, list[float]]:
     cap = 2000 + 600 * chain.n
     K = chain.K
     powers = np.eye(chain.size)
-    vcurve = [float(np.max(np.abs(powers - pi).sum(axis=1)))]
-    streak_start, streak = 0, (1 if vcurve[0] < eps else 0)
-    for t in range(1, cap + 1):
-        powers = powers @ K
+    vcurve, settled = [], 0
+    for t in range(cap + 1):
         v = float(np.max(np.abs(powers - pi).sum(axis=1)))
         vcurve.append(v)
-        if v < eps:
-            if streak == 0:
-                streak_start = t
-            streak += 1
-            if streak >= window:
-                return streak_start, vcurve
-        else:
-            streak = 0
+        if not v < eps:
+            settled = t + 1
+        # the rounds settled..t have all stayed below eps
+        if t + 1 - settled >= window:
+            return settled, vcurve
+        powers = powers @ K
     raise NumericError(f"mixing curve did not settle below {eps} within {cap} rounds")
 
 

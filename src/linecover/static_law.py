@@ -32,8 +32,7 @@ def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
     y = field.cdf(check_positions(positions, n_min=MIN_AGENTS)) if masses is None else masses
     targets = np.empty_like(y)
     targets[0] = y[1] / 3.0
-    if y.size > 2:
-        targets[1:-1] = 0.5 * (y[:-2] + y[2:])
+    targets[1:-1] = 0.5 * (y[:-2] + y[2:])   # empty for two agents
     targets[-1] = (y[-2] + 2.0 * field.total_mass) / 3.0
     # The targets are ordered in exact arithmetic, but the boundary rows
     # round differently from the interior ones, so neighbours can invert one

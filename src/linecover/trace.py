@@ -129,7 +129,7 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
     tol = stop.tol
     trace = ExperimentTrace(metadata={"phi_star": phi_star}, record=record, stop_tol=tol)
     persist = 1 if stop.persist is None else stop.persist
-    streak, settled = 0, t
+    settled = t
     for k in range(stop.max_rounds + 1):
         if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
             raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
@@ -139,11 +139,11 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
             if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
                 raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
         residual = float(np.square(x - xstar).sum())
-        if tol is not None and residual <= tol:
-            streak += 1
-        else:
-            streak, settled = 0, t + k + 1
-        reason = "tol" if streak >= persist else "max_rounds" if k == stop.max_rounds else ""
+        if tol is None or not residual <= tol:
+            settled = t + k + 1
+        # the rounds settled..t + k have all held the criterion
+        reason = ("tol" if t + k + 1 - settled >= persist
+                  else "max_rounds" if k == stop.max_rounds else "")
         if reason or every_round:
             phi = float(np.max(mass_gaps(y, total))) / 2.0
             trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))

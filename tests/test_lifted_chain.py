@@ -186,6 +186,28 @@ def test_dense_K_matches_entrywise_reference():
                     assert np.array_equal(np.sort(src), np.arange(2 * n))
 
 
+def test_K_is_shift_plus_reflection_in_cycle_order():
+    for n in range(3, 41):
+        # states 1..n are 0..n-1 and states 1'..n' are n..2n-1
+        order = np.r_[0:n, 2 * n - 1:n - 1:-1]
+        p = np.arange(2 * n)
+        succ, mirror = (p + 1) % (2 * n), (2 * n - 2 - p) % (2 * n)
+        shift, reflection = np.eye(2 * n)[succ], np.eye(2 * n)[mirror]
+        # figure2's share, in cycle order: 1 at the nodes 1, n, n', 1'
+        share = np.full(2 * n, 0.5)
+        share[[0, n - 1, n, 2 * n - 1]] = 1.0
+        for U in sorted({3, n, 2 * n, 100}):
+            uniformized = (1.0 - 1.0 / U) * shift + (1.0 / U) * reflection
+            lazy = np.diag(1.0 - share) + np.diag(share) @ uniformized
+            for variant, form in (("uniformized", uniformized), ("figure2", lazy)):
+                chain = build_chain(n, U, variant)
+                assert np.array_equal(chain.K[np.ix_(order, order)], form)
+            assert np.array_equal(chain.share[order], share)
+        # sources[0] and sources[1] are the in-edges of the shift and the reflection
+        assert np.array_equal(chain.sources[0][order[succ]], order)
+        assert np.array_equal(chain.sources[1][order[mirror]], order)
+
+
 @given(st.integers(3, 200), st.integers(3, 400), st.sampled_from(VARIANTS),
        st.integers(0, 2**32 - 1))
 def test_chain_step_matches_dense_product(n, big_u, variant, seed):
@@ -243,7 +265,7 @@ def test_stationary_figure2_n3_by_hand():
 def test_stationary_checks_the_balance_equations():
     # a figure2 label on uniformized dynamics: the closed form does not fit
     uniformized = build_chain(5, 5, "uniformized")
-    mislabelled = SimpleNamespace(n=5, size=10, variant="figure2",
+    mislabelled = SimpleNamespace(share=build_chain(5, 5, "figure2").share,
                                   apply=uniformized.apply)
     with pytest.raises(NumericError):
         stationary(mislabelled)
@@ -579,6 +601,16 @@ def test_mixing_time_settles_below_eps():
     t_mix, vcurve = mixing_profile(chain, 0.01)
     assert all(v < 0.01 for v in vcurve[t_mix:t_mix + 2 * 6])
     assert vcurve[t_mix - 1] >= 0.01
+
+
+@given(n=st.integers(3, 30), data=st.data(), variant=st.sampled_from(VARIANTS),
+       eps=st.floats(1e-3, 0.5))
+def test_mixing_profile_stops_2n_rounds_after_settling(n, data, variant, eps):
+    big_u = data.draw(st.integers(n, 3 * n), label="big_u")
+    t_mix, vcurve = mixing_profile(build_chain(n, big_u, variant), eps)
+    assert len(vcurve) == t_mix + 2 * n
+    assert all(v < eps for v in vcurve[t_mix:])
+    assert t_mix == 0 or vcurve[t_mix - 1] >= eps
 
 
 def test_mixing_profile_eps_domain():

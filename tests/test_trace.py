@@ -35,6 +35,21 @@ def scan_convergence(trace, tol):
     return trace.rows[above[-1] + 1].t, True
 
 
+def scan_stop(trace, tol, persist):
+    """Reference: the stop round, stop reason and settled round of a run with
+    this tol and persist, read offline from a full trace's residuals."""
+    below = [tol is not None and row.residual_sq <= tol for row in trace.rows]
+    held = [k for k in range(persist - 1, len(below)) if all(below[k - persist + 1:k + 1])]
+    last = held[0] if held else len(below) - 1
+    above = [k for k in range(last + 1) if not below[k]]
+    t0 = trace.rows[0].t
+    return t0 + last, "tol" if held else "max_rounds", t0 + (above[-1] + 1 if above else 0)
+
+
+def stop_of(trace):
+    return trace.final_round, trace.stop_reason, trace.settled_round
+
+
 def same_row(a, b):
     return (a.t == b.t and a.positions.tobytes() == b.positions.tobytes()
             and a.phi == b.phi and a.residual_sq == b.residual_sq and a.zsum == b.zsum)
@@ -62,21 +77,30 @@ LAWS = [("static", {})] + [("dynamic", {"variant": v, "movement_rule": r})
 
 
 @given(law=st.sampled_from(LAWS), density=st.sampled_from(["uniform", "quadratic"]),
-       n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1), data=st.data(),
        max_rounds=st.integers(1, 150), pick=st.integers(0, 150),
-       persist=st.sampled_from([None, 1, 3]))
-def test_summary_reads_like_full(law, density, n, seed, max_rounds, pick, persist):
+       persist=st.sampled_from([None, 1, 2, 3, "U"]))
+def test_summary_reads_like_full(law, density, n, seed, data, max_rounds, pick, persist):
     name, options = law
+    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
+    if name == "dynamic":
+        options = {**options, "big_u": big_u}
+    persist = big_u if persist == "U" else persist
     field = resolve_density(density)
     x0 = initial_positions("random", n, StreamRng(seed, n, 0), law=name)
     # a tol just under round pick's residual, so that round is the last one
     # above it whenever the residual falls afterwards
     free = run_one(name, field, x0, StopRule(tol=None, max_rounds=max_rounds), **options)
+    assert stop_of(free) == scan_stop(free, None, 1) == (
+        max_rounds, "max_rounds", max_rounds + 1)
     residual = free.rows[min(pick, max_rounds)].residual_sq
     tol = float(np.nextafter(residual, 0.0)) if residual > 0.0 else 1e-300
     stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
-    check_policies(lambda record: run_one(name, field, x0, stop, record=record, **options),
-                   tol)
+    full = check_policies(
+        lambda record: run_one(name, field, x0, stop, record=record, **options), tol)
+    # an unset persist is one round, or one token cycle for the dynamic law
+    persist = persist or (big_u if name == "dynamic" else 1)
+    assert stop_of(full) == scan_stop(free, tol, persist)
 
 
 @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(1, 40),
