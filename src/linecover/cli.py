@@ -119,26 +119,35 @@ def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
 
     A position whose float64 bits are unchanged since the previous row reuses
     that row's text; only the agents that moved are formatted again. Bits,
-    not values, decide, because -0.0 == 0.0 but they print as -0 and 0.
+    not values, decide, because -0.0 == 0.0 but they print as -0 and 0. A
+    row's positions stay one joined text, split into cells only when a
+    later row moves some agents but not all.
     """
     n = len(trace.rows[0].positions)
     header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
     dynamic = trace.rows[0].zsum is not None
     fmt = ",".join(["%d", "%s", _FLOAT, _FLOAT, _FLOAT if dynamic else ""])
+    every = ",".join([_FLOAT] * n)
 
     def rows():
-        cells = [""] * n
+        text, cells = "", None   # the previous row's positions; cells once split
         # differs from the first row in every bit, so that row formats every agent
         previous = ~trace.rows[0].positions.view(np.uint64)
         for row in trace.rows:
             bits = row.positions.view(np.uint64)
             moved = (bits != previous).nonzero()[0]
-            # one % for all the moved values; "%.17g" text holds no comma
-            texts = ",".join([_FLOAT] * moved.size) % tuple(row.positions[moved].tolist())
-            for i, text in zip(moved.tolist(), texts.split(",")):
-                cells[i] = text
+            if moved.size == n:
+                text, cells = every % tuple(row.positions.tolist()), None
+            elif moved.size:
+                if cells is None:
+                    cells = text.split(",")
+                # one % for all the moved values; "%.17g" text holds no comma
+                texts = ",".join([_FLOAT] * moved.size) % tuple(row.positions[moved].tolist())
+                for i, cell in zip(moved.tolist(), texts.split(",")):
+                    cells[i] = cell
+                text = ",".join(cells)
             previous = bits
-            yield (row.t, ",".join(cells), row.phi, row.residual_sq,
+            yield (row.t, text, row.phi, row.residual_sq,
                    *((row.zsum,) if dynamic else ()))
 
     write_csv(path, header, fmt, rows())

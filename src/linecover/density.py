@@ -36,6 +36,15 @@ _X_SLACK = 1e-12          # tolerated overshoot outside [0, 1] before clipping
 _NEG_TOL = 1e-12          # tolerated negative polynomial minimum (roundoff)
 _NEWTON_ULPS = 4.5e-16    # relative Newton step at which the inverse stops
 _KNOT_CELLS = 256         # equal cells per segment in the inverse's start table
+# The largest array that cdf and inverse_cdf map element by element on the
+# scalar path. Below it, numpy call overhead dominates the vector path, which
+# costs about 40-65 and 145-340 us per inverse_cdf call on the uniform and
+# quadratic presets whatever the size, and 15-30 us per cdf call. A loop of
+# scalar calls becomes the dearer of the two (best of 15 x 100 calls, shared
+# 2-CPU x86-64 host, Python 3.11) near 32-36 masses on the uniform preset,
+# 48-56 on the quadratic one and 32-48 on a degree-4 random field for
+# inverse_cdf, and near 24-40 points for cdf.
+_SCALAR_MAX = 32
 
 
 def _inside(values, hi: float = 1.0, message: str = "points must lie in [0, 1]"):
@@ -49,6 +58,18 @@ def _inside(values, hi: float = 1.0, message: str = "points must lie in [0, 1]")
         raise DomainError(message)
     v = np.clip(v, 0.0, hi)
     return float(v) if isinstance(values, float) else v
+
+
+def _by_size(values, scalar, vector) -> np.ndarray:
+    """The array ``values`` mapped to a float64 array of its shape: element by
+    element by ``scalar`` when it holds at most ``_SCALAR_MAX`` elements, else
+    by ``vector`` on its elements flattened."""
+    v = np.asarray(values, dtype=float)
+    if v.size <= _SCALAR_MAX:
+        out = np.array([scalar(e) for e in v.ravel().tolist()], dtype=float)
+    else:
+        out = vector(v.ravel())
+    return out.reshape(v.shape)
 
 
 def _poly_eval(coeffs, x):
@@ -186,10 +207,14 @@ class DensityField:
         return float(acc[0]) if scalar else acc
 
     def cdf(self, x):
-        """Cumulative mass F(x). A scalar x takes the pure-Python path and an
-        array the vector path; both return the same bits."""
+        """Cumulative mass F(x). A scalar x and an array of at most
+        ``_SCALAR_MAX`` points take the pure-Python path, a larger array the
+        vector path; both return the same bits."""
         if isinstance(x, (int, float)) or getattr(x, "ndim", 1) == 0:
             return self._cdf_scalar(float(x))
+        return _by_size(x, self._cdf_scalar, self._cdf_vector)
+
+    def _cdf_vector(self, x: np.ndarray) -> np.ndarray:
         x = _inside(x)
         j = self._segment_of(x)
         # bracketed so that x = b_j gives exactly the stored mass F(b_j)
@@ -216,17 +241,18 @@ class DensityField:
         bracket has collapsed. The next x is the Newton point, or the
         bracket midpoint when that point leaves the bracket or the step is
         longer than half the previous one. On a polynomial density a call
-        typically needs 3 or 4 passes, at most 120. The scalar and the
-        vector paths follow this one rule in the same floating-point
-        operations, so they return the same bits, and the result is within
-        1e-13 of the true root.
+        typically needs 3 or 4 passes, at most 120. A scalar m and an array
+        of at most ``_SCALAR_MAX`` masses take the scalar path, a larger
+        array the vector path. Both follow this one rule in the same
+        floating-point operations, so they return the same bits, and the
+        result is within 1e-13 of the true root.
         """
         if isinstance(m, (int, float)) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))
-        return self._inverse_vector(
-            _inside(m, self.total_mass, "mass values must lie in [0, F(1)]"))
+        return _by_size(m, self._inverse_scalar, self._inverse_vector)
 
     def _inverse_vector(self, m: np.ndarray) -> np.ndarray:
+        m = _inside(m, self.total_mass, "mass values must lie in [0, F(1)]")
         k = np.searchsorted(self._knot_f[:-1], m, side="right") - 1
         j = k // _KNOT_CELLS
         lo, hi = self._knot_x[k], self._knot_x[k + 1]
@@ -250,22 +276,25 @@ class DensityField:
                 if np.all(done):
                     break
 
+                # a finished x is frozen below, whatever its bracket becomes
                 above = g > 0.0
-                hi = np.where(above & ~done, x, hi)
-                lo = np.where(~above & ~done, x, lo)
+                hi = np.where(above, x, hi)
+                lo = np.where(above, lo, x)
                 done |= (hi - lo) <= 4e-16 * (1.0 + np.abs(x))
                 if np.all(done):
                     break
-                slow = np.abs(2.0 * g) > np.abs(step_prev * der)
-                bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | slow
-                nxt = np.where(done, x, np.where(bad, 0.5 * (lo + hi), newton))
+                # an infinite or NaN Newton point fails both bracket tests
+                good = ((newton > lo) & (newton < hi)
+                        & (np.abs(2.0 * g) <= np.abs(step_prev * der)))
+                nxt = np.where(done, x, np.where(good, newton, 0.5 * (lo + hi)))
                 step_prev = np.abs(nxt - x)
                 x = nxt
         return x
 
     # Scalar paths (pure Python floats), which cdf and inverse_cdf take for a
-    # scalar argument: the dynamic move maps one point per round, where numpy
-    # per-call overhead dominates; a few dozen points are cheaper as an array.
+    # scalar and for each element of a small array: the dynamic move maps one
+    # point per round and the static law a few dozen, where numpy per-call
+    # overhead dominates; larger arrays are cheaper on the vector path.
 
     def _cdf_scalar(self, x: float) -> float:
         x = _inside(x)
@@ -329,7 +358,7 @@ def mass_gaps(masses: np.ndarray, total: float) -> np.ndarray:
     """Boundary-doubled gaps (2 y_1, y_2 - y_1, ..., 2 (total - y_n)) of masses y."""
     d = np.empty(masses.size + 1)
     d[0] = 2.0 * masses[0]
-    d[1:-1] = np.diff(masses)
+    np.subtract(masses[1:], masses[:-1], out=d[1:-1])
     d[-1] = 2.0 * (total - masses[-1])
     return d
 

@@ -145,7 +145,7 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
         reason = ("tol" if t + k + 1 - settled >= persist
                   else "max_rounds" if k == stop.max_rounds else "")
         if reason or every_round:
-            phi = float(np.max(mass_gaps(y, total))) / 2.0
+            phi = float(mass_gaps(y, total).max()) / 2.0
             trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
         if reason:
             trace.stop_reason = reason

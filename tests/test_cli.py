@@ -317,14 +317,17 @@ def test_ordering_fault_inside_a_run_is_numeric(capsys, tmp_path, monkeypatch, l
 
 def test_drifting_carried_masses_fail_the_final_coverage_check(capsys, tmp_path, monkeypatch):
     # moved agents take masses off by a relative 1e-6: every row stays
-    # ordered and conserves z, so only the end-of-run recomputation sees it
+    # ordered and conserves z, so only the end-of-run recomputation sees it.
+    # n exceeds the largest array that cdf maps on the scalar path, so the
+    # patched scalar kernel drifts the moves only, not the recomputation.
+    n = linecover.density._SCALAR_MAX + 1
     real = DensityField._cdf_scalar
     monkeypatch.setattr(DensityField, "_cdf_scalar",
                         lambda self, x: real(self, x) * (1.0 + 1e-6))
-    x0 = initial_positions("random", 6, StreamRng(0, 6, 0), law="dynamic")
+    x0 = initial_positions("random", n, StreamRng(0, n, 0), law="dynamic")
     with pytest.raises(NumericError, match="carried masses drifted"):
         run_one("dynamic", resolve_density("uniform"), x0, StopRule(tol=None, max_rounds=30))
-    code, _, err = run_cli(capsys, ["simulate", "--law", "dynamic", "--n", "6",
+    code, _, err = run_cli(capsys, ["simulate", "--law", "dynamic", "--n", str(n),
                                     "--max-rounds", "30", "--out-dir", str(tmp_path)])
     assert code == 4
     assert json.loads(err)["error"] == "numeric"

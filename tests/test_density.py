@@ -36,7 +36,8 @@ def test_mass_quadratic_closed_form(quadratic_field):
 def test_mass_domain_error(uniform_field):
     # just past the 1e-12 slack fails on the scalar and the vector path alike
     for x in (-0.2, 1.5, np.array([0.5, 1.5]), -1e-11, 1.0 + 1e-11,
-              np.array([-1e-11]), np.array([1.0 + 1e-11])):
+              np.array([-1e-11]), np.array([1.0 + 1e-11]),
+              np.append(np.full(S, 0.5), -1e-11), np.append(np.full(S, 0.5), 1.0 + 1e-11)):
         with pytest.raises(DomainError):
             uniform_field.cdf(x)
 
@@ -67,6 +68,7 @@ def test_inverse_cdf_domain_error(uniform_field):
 
 
 NAN = float("nan")
+S = density._SCALAR_MAX   # the largest array that takes the scalar path
 
 
 @pytest.mark.parametrize("call", [
@@ -74,9 +76,9 @@ NAN = float("nan")
     lambda f: coverage(f, [0.2, NAN]),
     lambda f: f.rho(NAN),
     lambda f: f.cdf(NAN),
-    lambda f: f.cdf(np.array([0.5, NAN])),
+    lambda f: f.cdf(np.append(np.full(S, 0.5), NAN)),
     lambda f: f.inverse_cdf(NAN),
-    lambda f: f.inverse_cdf(np.array([0.5, NAN])),
+    lambda f: f.inverse_cdf(np.append(np.full(S, 0.5), NAN)),
     lambda f: DensityField([0.0, NAN, 1.0], [[1.0], [1.0]]),
     lambda f: DensityField([NAN, 0.5, 1.0], [[1.0], [1.0]]),
 ], ids=["check_positions", "coverage", "rho", "cdf", "cdf_vector", "inverse",
@@ -103,11 +105,14 @@ seeds = st.integers(0, 2**32 - 1)
 units = st.floats(0.0, 1.0)
 
 
+# The vector kernels are called directly below: inverse_cdf and cdf would map
+# an array this short on the scalar path, and compare that path with itself.
+
 @given(seeds, st.lists(units, min_size=1, max_size=40))
 def test_inverse_scalar_and_vector_agree(seed, fractions):
     field = make_random_field(StreamRng(seed))
     masses = field.total_mass * np.array(fractions)
-    vector = field.inverse_cdf(masses)
+    vector = field._inverse_vector(masses)
     scalar = [field.inverse_cdf(float(m)) for m in masses]
     assert scalar == vector.tolist()
 
@@ -118,7 +123,36 @@ def test_cdf_scalar_and_vector_agree_bitwise(seed, points):
     # end-of-run check recomputes it with the vector path
     field = make_random_field(StreamRng(seed))
     x = np.array([0.0, 1.0, -5e-13, 1.0 + 5e-13, *field.breakpoints, *points])
-    assert [field.cdf(v) for v in x.tolist()] == field.cdf(x).tolist()
+    assert [field.cdf(v) for v in x.tolist()] == field._cdf_vector(x).tolist()
+
+
+SWITCH_SHAPES = [(0,), (1,), (S - 1,), (S,), (S + 1,), (2 * S,), (3, 5), (3, S // 2 + 1)]
+
+
+@given(seeds, st.sampled_from([-0.1, 1.5, NAN]), units)
+def test_array_size_picks_the_path_with_the_same_bits(seed, bad, where):
+    # arrays up to S long go element by element through the scalar kernels,
+    # longer ones through the vector kernels; either way the result is the
+    # element-wise scalar result, bit for bit, as float64 in the input's shape
+    field = make_random_field(StreamRng(seed))
+    rng = StreamRng(seed, 1)
+    for shape in SWITCH_SHAPES:
+        x = np.array(rng.uniforms(int(np.prod(shape)))).reshape(shape)
+        for call, scalar, scale in ((field.cdf, field._cdf_scalar, 1.0),
+                                    (field.inverse_cdf, field._inverse_scalar,
+                                     field.total_mass)):
+            arg = scale * x
+            got = call(arg)
+            want = np.array([scalar(v) for v in arg.ravel().tolist()], dtype=float)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+            if arg.size:
+                # one out-of-range or NaN entry fails the whole call
+                spoilt = arg.copy()
+                spoilt.flat[int(where * (arg.size - 1))] = bad * scale
+                with pytest.raises(DomainError):
+                    call(spoilt)
 
 
 @given(seeds, st.lists(units, min_size=1, max_size=40))
@@ -126,7 +160,7 @@ def test_inverse_of_cdf_is_identity(seed, points):
     field = make_random_field(StreamRng(seed))
     x = np.array(points)
     y = field.cdf(x)
-    assert np.max(np.abs(field.inverse_cdf(y) - x)) <= 1e-13
+    assert np.max(np.abs(field._inverse_vector(y) - x)) <= 1e-13
     assert max(abs(field.inverse_cdf(float(m)) - p) for m, p in zip(y, x)) <= 1e-13
 
 
@@ -136,9 +170,11 @@ def test_inverse_returns_breakpoints_exactly(seed):
     # F(b_j) as the field stores it: 0, the interior breakpoint masses, F(1)
     masses = field._cum
     assert np.array_equal(field.cdf(field.breakpoints), masses)
+    assert np.array_equal(field._cdf_vector(field.breakpoints), masses)
     assert [field.cdf(float(b)) for b in field.breakpoints] == masses.tolist()
     assert field.cdf(1.0) == field.total_mass
     assert np.array_equal(field.inverse_cdf(masses), field.breakpoints)
+    assert np.array_equal(field._inverse_vector(masses), field.breakpoints)
     assert [field.inverse_cdf(float(m)) for m in masses] == field.breakpoints.tolist()
 
 
@@ -176,9 +212,11 @@ def count_horner_calls(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("n", [12, 80, 320, 1000])
 def test_vector_inverse_starts_near_the_root(quadratic_field, monkeypatch, n):
-    # starting from the whole segment took 8, 9, 10 and 11 passes
+    # starting from the whole segment took 8, 9, 10 and 11 passes; the kernel
+    # is called directly, because inverse_cdf maps n <= S masses one by one
+    targets = quadratic_field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     calls = count_horner_calls(monkeypatch)
-    optimal_configuration(quadratic_field, n)
+    quadratic_field._inverse_vector(targets)
     assert calls[0] <= 2 * 4
 
 
