@@ -81,17 +81,15 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _poly_extrema(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """Exact min/max of the polynomial on [lo, hi] via derivative roots."""
+def _poly_extrema(coeffs: np.ndarray, lo, hi):
+    """Exact min/max of the polynomial on [lo, hi] (or arrays of them) via derivative roots."""
     candidates = [lo, hi]
     deriv = coeffs[1:] * np.arange(1, len(coeffs))
     if np.any(deriv != 0.0):
         roots = np.polynomial.polynomial.polyroots(deriv)
-        for r in roots:
-            if abs(r.imag) < 1e-9 and lo < r.real < hi:
-                candidates.append(float(r.real))
+        candidates += [np.clip(r.real, lo, hi) for r in roots if abs(r.imag) < 1e-9]
     values = [_poly_eval(coeffs, c) for c in candidates]
-    return min(values), max(values)
+    return np.min(values, axis=0), np.max(values, axis=0)
 
 
 class DensityField:
@@ -103,9 +101,9 @@ class DensityField:
     mass. ``rho_min``/``rho_max`` cache the global density bounds.
 
     Construction also tabulates ``_KNOT_CELLS`` equal cells per segment: the
-    knots x_k (every breakpoint among them) and their masses F_k = F(x_k),
-    evaluated by ``cdf`` itself. ``inverse_cdf`` starts inside the knot cell
-    that holds its mass.
+    knots x_k (every breakpoint among them), their masses F_k = F(x_k),
+    evaluated by ``cdf`` itself, and each cell's largest density.
+    ``inverse_cdf`` starts inside the knot cell that holds its mass.
     """
 
     def __init__(self, breakpoints, coefficients, name: str = "custom"):
@@ -150,9 +148,15 @@ class DensityField:
 
         anti_at_left = _poly_eval(anti_rows.T, bp[:-1])
         seg_mass = _poly_eval(anti_rows.T, bp[1:]) - anti_at_left
+        # The inverse's starting cells and the density's extrema on each (their
+        # masses F_k come from cdf below, so inverse_cdf(cdf(x_k)) is every knot).
+        cells = np.arange(_KNOT_CELLS) / _KNOT_CELLS
+        knot_x = np.append((bp[:-1, None] + np.diff(bp)[:, None] * cells).ravel(), 1.0)
+        cell_lo, cell_hi = np.array([_poly_extrema(*cell) for cell in zip(
+            rho_rows, knot_x[:-1].reshape(m, -1), knot_x[1:].reshape(m, -1))]).transpose(1, 0, 2)
         lo_all, hi_all = np.inf, -np.inf
         for j in range(m):
-            lo, hi = _poly_extrema(rho_rows[j], bp[j], bp[j + 1])
+            lo, hi = cell_lo[j].min(), cell_hi[j].max()
             scale = max(1.0, float(np.max(np.abs(rho_rows[j]))))
             if lo < -_NEG_TOL * scale:
                 raise DomainError(
@@ -176,14 +180,10 @@ class DensityField:
         self._anti_list = anti_rows.tolist()
         self._anti_left_list = anti_at_left.tolist()
 
-        # The inverse's starting cells. F_k comes from cdf itself, so that
-        # inverse_cdf(cdf(x_k)) returns every knot exactly.
-        cells = np.arange(_KNOT_CELLS) / _KNOT_CELLS
-        knots = (bp[:-1, None] + np.diff(bp)[:, None] * cells).ravel()
-        self._knot_x = np.append(knots, 1.0)
-        self._knot_f = self.cdf(self._knot_x)
+        self._knot_x, self._knot_f = knot_x, self.cdf(knot_x)
         self._knot_x_list = self._knot_x.tolist()
         self._knot_f_list = self._knot_f.tolist()
+        self._cell_max = cell_hi.ravel()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -199,12 +199,12 @@ class DensityField:
         found among the left ends only, so that x = 1 falls in the last."""
         return np.searchsorted(self.breakpoints[:-1], x, side="right") - 1
 
-    def rho(self, x):
-        """Density value(s) at x."""
-        scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-        xv = np.atleast_1d(_inside(x))
-        acc = _poly_eval(self._rho_rows[self._segment_of(xv)].T, xv)
-        return float(acc[0]) if scalar else acc
+    def rho_near(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per mass m: max rho on its knot cell and the next two, and m's reach inside them."""
+        k = np.searchsorted(self._knot_f[:-1], m, side="right") - 1
+        lo, hi = np.maximum(k - 1, 0), np.minimum(k + 2, self._knot_f.size - 1)
+        peak = np.maximum.reduce([self._cell_max[lo], self._cell_max[k], self._cell_max[hi - 1]])
+        return peak, np.minimum(m - self._knot_f[lo], self._knot_f[hi] - m)
 
     def cdf(self, x):
         """Cumulative mass F(x). A scalar x and an array of at most
@@ -391,10 +391,14 @@ def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, floa
     Places agent j at F^{-1}(F(1) (2j - 1) / (2n)); its coverage
     F(1) / (2n) is the best achievable by n agents.
     """
-    check_agent_count(n)
-    targets = field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    positions = field.inverse_cdf(targets)
+    positions = field.inverse_cdf(optimal_masses(field, n))
     return positions, field.total_mass / (2.0 * n)
+
+
+def optimal_masses(field: DensityField, n: int) -> np.ndarray:
+    """The masses F(1) (2j - 1) / (2n) of the optimal configuration's agents."""
+    check_agent_count(n)
+    return field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
 
 # ----------------------------------------------------------------------

@@ -11,43 +11,67 @@ boundary-doubled gap vector
 evolves as d(t+1) = (I + U/6) d(t) with the tridiagonal stencil built in
 :mod:`linecover.spectral`. All gaps converge to the common value F(1)/n,
 which is exactly the optimality condition of the balanced configuration.
+
+A run carries y alone; positions are a view, the running maximum of
+F^-1(y), mapped by :func:`static_step` only at recorded rows, the final
+round, and when this lower bound on the residual reaches tol. If rho <= P
+on [a, b], breakpoints and zeros of rho included, |F(a) - F(b)| <= P |a - b|.
+:meth:`DensityField.rho_near` bounds rho by P_i on the knot cells that hold
+the mass h_i around y*_i, and rho <= rho_max beyond them, so an agent
+d_i = |y_i - y*_i| off its optimal mass lies at least
+d_i / rho_max + min(d_i, h_i) (1 / P_i - 1 / rho_max) from x*_i. The float
+slack is measured, not proved: 2^-40 rho_max of mass per agent covers two
+inverses' mass error (at most 4 ulps of rho_max on sampled fields; large
+cancelling coefficients may need more, and a summary run then stops late),
+1 - (n + 8) 2^-52 the rounding of the sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityField, check_positions
+from .density import DensityField, check_positions, optimal_masses
 from .trace import ExperimentTrace, StopRule, run_rounds
 
 MIN_AGENTS = 2   # the leftmost and rightmost agents each need a neighbour
 
 
-def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
-    """One simultaneous median update, evaluated at the old positions.
-
-    ``masses``, when given, must be ``field.cdf`` of the validated
-    positions; the positions are then neither validated nor mapped again.
-    """
-    y = field.cdf(check_positions(positions, n_min=MIN_AGENTS)) if masses is None else masses
+def _advance(y: np.ndarray, total: float) -> np.ndarray:
+    """The masses after one round (the targets, capped at F(1))."""
     targets = np.empty_like(y)
     targets[0] = y[1] / 3.0
     targets[1:-1] = 0.5 * (y[:-2] + y[2:])   # empty for two agents
-    targets[-1] = (y[-2] + 2.0 * field.total_mass) / 3.0
-    # The targets are ordered in exact arithmetic, but the boundary rows
-    # round differently from the interior ones, so neighbours can invert one
-    # ulp out of order. The running maximum repairs only such inversions;
-    # counting its hits is left to the run telemetry (ROADMAP item 3).
-    return np.maximum.accumulate(field.inverse_cdf(targets))
+    targets[-1] = min((y[-2] + 2.0 * total) / 3.0, total)
+    # the boundary rows round unlike the interior ones, so neighbours can invert
+    # by an ulp; the running maximum repairs only that (ROADMAP item 3 counts it)
+    return np.maximum.accumulate(targets, out=targets)
+
+
+def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
+    """One simultaneous median update, evaluated at the old positions, or
+    at ``masses``, when given: ordered agent masses in [0, F(1)]."""
+    y = field.cdf(check_positions(positions, n_min=MIN_AGENTS)) if masses is None else masses
+    return np.maximum.accumulate(field.inverse_cdf(_advance(y, field.total_mass)))
 
 
 def run_static(field: DensityField, positions0, stop: StopRule, *,
                record: str = "full") -> ExperimentTrace:
     """Iterate the static law until the stop rule fires, recording rows by
     the policy ``record`` (see :func:`linecover.trace.run_rounds`)."""
-    def step(x, y):
-        x = static_step(field, x, y)
-        return x, field.cdf(x)
-
     x = check_positions(positions0, n_min=MIN_AGENTS)
-    return run_rounds(field, x, field.cdf(x), step, stop, record=record)
+    total, rho_max, n = field.total_mass, field.rho_max, x.size
+    ystar = optimal_masses(field, n)
+    peak, reach = field.rho_near(ystar)
+    slope = 1.0 / np.maximum(peak / rho_max, 2.0 ** -40)   # rho_max / P_i; raising P_i is safe
+    reach, rise = reach / rho_max, slope - 1.0
+    cut, shrink = 2.0 ** -40 * float(slope @ slope) ** 0.5, 1.0 - (n + 8) * 2.0 ** -52
+
+    def step(x, y):
+        return (lambda: static_step(field, None, y)), _advance(y, total)
+
+    def bound(y):
+        d = np.abs(y - ystar) / rho_max   # in units of rho_max, so that no scale overflows
+        d += rise * np.minimum(d, reach)
+        return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink
+
+    return run_rounds(field, x, field.cdf(x), step, stop, bound=bound, record=record)

@@ -95,32 +95,34 @@ class ExperimentTrace:
 
 
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
-               step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-               stop: StopRule, *, t: int = 0,
+               step: Callable, stop: StopRule, *, t: int = 0,
                zsum: Callable[[], float] | None = None,
+               bound: Callable[[np.ndarray], float] | None = None,
                record: str = "full") -> ExperimentTrace:
     """Advance a run round by round until the stop rule fires.
 
     The loop carries the agents' masses y = F(x) next to their positions:
     ``positions`` must already be validated and ``masses`` must be their
     ``field.cdf``, and ``step`` performs one round of the law, mapping
-    (x, y) to the new (x, y). Rounds are numbered from ``t``, the entry
-    state included. ``max_rounds`` counts the rounds executed by this call,
-    so churn scenarios can resume a run.
+    (x, y) to the new (x, y); its x may be a view, a callable called only
+    at recorded rows, the final round and when ``bound(y)``, a lower
+    bound on the residual, is at or below tol. Rounds are numbered
+    from ``t``, the entry state included. ``max_rounds`` counts the rounds
+    executed by this call, so churn scenarios can resume a run.
 
-    Every round computes the squared distance to the optimal configuration
-    for the run's agent count, which drives the stop rule (that optimum is
-    also the limit of both laws, so the criterion is computable online),
-    and tracks the trace's ``settled_round`` from it. ``zsum``, when given,
-    returns the conserved mass total, which must stay at F(1) in every
-    round. ``record`` chooses the rounds that keep a row (positions,
-    coverage as half the largest boundary-doubled gap of y, residual and
-    zsum): every round under ``full``, the final round only under
-    ``summary``. Coverage is computed for those rounds only.
+    Every round computes (unmapped: bounds above tol) the squared
+    distance to the optimal configuration for the run's agent count, which
+    drives the stop rule (that optimum is also the limit of both laws, so
+    the criterion is computable online) and the trace's ``settled_round``.
+    ``zsum``, when given, returns the conserved mass total, which must stay
+    at F(1) in every round. ``record`` chooses the rounds that keep a row
+    (positions, coverage as half the largest boundary-doubled gap of their
+    masses, residual and zsum): every round under ``full``, the final round
+    only under ``summary``. Coverage is computed for those rounds only.
 
-    Every round checks that the positions are ordered and inside [0, 1];
-    at the end the final row's coverage is recomputed from the final
-    positions. Either failure is an internal fault and raises NumericError.
+    Every round checks that the positions (unmapped: the masses) are
+    ordered and inside [0, 1] ([0, F(1)]); the final row's coverage is then
+    recomputed. Either failure is an internal fault: NumericError.
     """
     every_round = check_record(record) == "full"
     x, y = positions, masses
@@ -131,13 +133,23 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
     persist = 1 if stop.persist is None else stop.persist
     settled = t
     for k in range(stop.max_rounds + 1):
-        if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
-            raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
         mass = None
         if zsum is not None:
             mass = zsum()
             if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
                 raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
+        fx = y   # the masses of x, if known, for a row's coverage
+        if callable(x):   # a view
+            if every_round or k == stop.max_rounds or tol is not None and not bound(y) > tol:
+                x, fx = x(), None
+            elif y[0] >= 0.0 and y[-1] <= total and (y[1:] >= y[:-1]).all():
+                settled = t + k + 1   # the bound puts the round above tol
+                x, y = step(x, y)
+                continue
+            else:
+                raise NumericError(f"round {t + k}: agent masses left order or [0, F(1)]")
+        if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
+            raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
         residual = float(np.square(x - xstar).sum())
         if tol is None or not residual <= tol:
             settled = t + k + 1
@@ -145,7 +157,7 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
         reason = ("tol" if t + k + 1 - settled >= persist
                   else "max_rounds" if k == stop.max_rounds else "")
         if reason or every_round:
-            phi = float(mass_gaps(y, total).max()) / 2.0
+            phi = float(mass_gaps(field.cdf(x) if fx is None else fx, total).max()) / 2.0
             trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
         if reason:
             trace.stop_reason = reason

@@ -74,14 +74,13 @@ S = density._SCALAR_MAX   # the largest array that takes the scalar path
 @pytest.mark.parametrize("call", [
     lambda f: check_positions([0.1, NAN]),
     lambda f: coverage(f, [0.2, NAN]),
-    lambda f: f.rho(NAN),
     lambda f: f.cdf(NAN),
     lambda f: f.cdf(np.append(np.full(S, 0.5), NAN)),
     lambda f: f.inverse_cdf(NAN),
     lambda f: f.inverse_cdf(np.append(np.full(S, 0.5), NAN)),
     lambda f: DensityField([0.0, NAN, 1.0], [[1.0], [1.0]]),
     lambda f: DensityField([NAN, 0.5, 1.0], [[1.0], [1.0]]),
-], ids=["check_positions", "coverage", "rho", "cdf", "cdf_vector", "inverse",
+], ids=["check_positions", "coverage", "cdf", "cdf_vector", "inverse",
         "inverse_vector", "breakpoint", "first_breakpoint"])
 def test_nan_fails_every_range_check(uniform_field, call):
     with pytest.raises(DomainError):
@@ -230,13 +229,18 @@ def test_scalar_inverse_starts_near_the_root(quadratic_field, monkeypatch):
 
 
 def test_bounds_hold_at_random_points(random_field_factory):
+    # rho_max bounds the static law's stop check, so it must hold everywhere
     field = random_field_factory(StreamRng(21))
     rng = StreamRng(22)
     x = np.array(rng.uniforms(500))
-    vals = field.rho(x)
+    j = np.searchsorted(field.breakpoints[:-1], x, side="right") - 1
+    vals = np.polynomial.polynomial.polyval(x, field._rho_rows[j].T, tensor=False)
     assert np.all(vals >= field.rho_min - 1e-12)
     assert np.all(vals <= field.rho_max + 1e-12)
     assert field.rho_min > 0.0
+    # and so must the largest density of each knot cell
+    cell = np.searchsorted(field._knot_x[:-1], x, side="right") - 1
+    assert np.all(vals <= field._cell_max[cell] * (1.0 + 1e-15))
 
 
 def test_cdf_endpoints_and_monotonicity(random_field_factory):

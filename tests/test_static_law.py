@@ -1,6 +1,7 @@
 """Median update law: step examples, gap dynamics, convergence, robustness."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from linecover import (
     DensityField,
     DomainError,
+    NumericError,
     StopRule,
     StreamRng,
     convergence_time,
@@ -17,7 +19,9 @@ from linecover import (
     initial_positions,
     optimal_configuration,
     quadratic_density,
+    resolve_density,
     run_static,
+    static_law,
     static_step,
 )
 from linecover.harness import INIT_MODES
@@ -238,3 +242,125 @@ def test_random_churn_keeps_order_and_reconverges(data):
     assert trace.stop_reason == "tol"
     phi_star = optimal_configuration(field, x.size)[1]
     assert abs(trace.final_phi - phi_star) <= 1e-3 * phi_star
+
+
+# ----------------------------------------------------------------------
+# runs in mass coordinates: the stop bound and the loop that maps on it
+# ----------------------------------------------------------------------
+
+def loop_parts(field, x0):
+    """The validated start, its masses, and the step and bound that
+    ``run_static`` hands the round loop."""
+    with mock.patch.object(static_law, "run_rounds", lambda *args, **kw: (args, kw)):
+        (_, x, y, step, _), kw = run_static(field, x0, StopRule(tol=1e-4))
+    return x, y, step, kw["bound"]
+
+
+@st.composite
+def fields_with_breakpoints_and_zeros(draw):
+    """Random piecewise polynomials whose minimum is 0.25 or 0 on each
+    segment, piecewise constants that jump at breakpoints, and the presets;
+    the drawn fields scaled by 2^-1000 or 2^1000 too."""
+    kind = draw(st.sampled_from(["random", "zeros", "steps", "quadratic", "uniform"]))
+    if kind in ("quadratic", "uniform"):
+        return resolve_density(kind)
+    seed = draw(st.integers(0, 2**32 - 1), label="field seed")
+    scale = draw(st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]), label="scale")
+    if kind == "steps":
+        breakpoints = [0.0, 0.1875, 0.5, 0.5625, 1.0]
+        coefficients = [[1.0 + StreamRng(seed, j).randint(0, 8)] for j in range(4)]
+    else:
+        breakpoints, coefficients = random_field_spec(StreamRng(seed))
+    if kind == "zeros":
+        coefficients = [[c[0] - 0.25, *c[1:]] for c in coefficients]
+    return DensityField(breakpoints, [[scale * v for v in c] for c in coefficients])
+
+
+@settings(max_examples=60)
+@given(field=fields_with_breakpoints_and_zeros(), n=st.integers(2, 24),
+       start=st.sampled_from(["random", "all-one", "optimum"]), seed=st.integers(0, 2**32 - 1))
+def test_stop_bound_never_exceeds_the_residual_of_the_view(field, n, start, seed):
+    if start == "optimum":
+        x0 = optimal_configuration(field, n)[0]
+    else:
+        x0 = initial_positions(start, n, StreamRng(seed, n))
+    xstar = optimal_configuration(field, n)[0]
+    x, y, step, bound = loop_parts(field, x0)
+    for _ in range(80):
+        view, y = step(x, y)
+        x = view()
+        assert bound(y) <= float(np.square(x - xstar).sum())
+
+
+def reference_run(field, x0, stop):
+    """The static law with positions mapped every round: stop round, stop
+    reason, settled round and final row (positions, phi, residual)."""
+    total = field.total_mass
+    xstar = optimal_configuration(field, x0.size)[0]
+    x, y = x0, field.cdf(x0)
+    held = settled = 0
+    for k in range(stop.max_rounds + 1):
+        residual = float(np.square(x - xstar).sum())
+        held = held + 1 if residual <= stop.tol else 0
+        settled = settled if held else k + 1
+        if held >= (stop.persist or 1) or k == stop.max_rounds:
+            phi = float(gap_vector(field, x).max()) / 2.0
+            reason = "tol" if held >= (stop.persist or 1) else "max_rounds"
+            return k, reason, settled, (x, phi, residual)
+        nxt = np.empty_like(y)
+        nxt[0] = y[1] / 3.0
+        nxt[1:-1] = 0.5 * (y[:-2] + y[2:])
+        nxt[-1] = min((y[-2] + 2.0 * total) / 3.0, total)
+        y = np.maximum.accumulate(nxt)
+        x = np.maximum.accumulate(field.inverse_cdf(y))
+
+
+@settings(max_examples=40)
+@given(field=fields_with_breakpoints_and_zeros(), n=st.integers(2, 16),
+       start=st.sampled_from(["random", "all-one"]), seed=st.integers(0, 2**32 - 1),
+       pick=st.integers(0, 400), below=st.sampled_from([0.0, 1e-6]),
+       persist=st.sampled_from([None, 1, 3]), record=st.sampled_from(["full", "summary"]))
+def test_runs_stop_like_a_loop_that_maps_every_round(field, n, start, seed, pick, below,
+                                                      persist, record):
+    x0 = initial_positions(start, n, StreamRng(seed, n))
+    # a tol one ulp, or a relative 1e-6, under the residual of round pick as
+    # mapped every round: the bound then may or may not settle that round
+    free = run_static(field, x0, StopRule(tol=None, max_rounds=400))
+    residual = free.rows[pick].residual_sq * (1.0 - below)
+    tol = float(np.nextafter(residual, 0.0)) if residual > 0.0 else 1e-300
+    stop = StopRule(tol=tol, max_rounds=400, persist=persist)
+    k, reason, settled, (x, phi, residual) = reference_run(field, x0, stop)
+    trace = run_static(field, x0, stop, record=record)
+    assert (trace.final_round, trace.stop_reason, trace.settled_round) == (k, reason, settled)
+    row = trace.rows[-1]
+    assert (row.positions.tobytes(), row.phi, row.residual_sq) == (x.tobytes(), phi, residual)
+
+
+def test_loop_maps_when_the_bound_equals_tol(monkeypatch, quadratic_field):
+    # a bound of exactly tol settles nothing, so every round must be mapped
+    # and the run must stop where a full run stops
+    x0 = initial_positions("all-one", 12)
+    stop = StopRule(tol=1e-4)
+    full = run_static(quadratic_field, x0, stop)
+    real = static_law.run_rounds
+    monkeypatch.setattr(static_law, "run_rounds",
+                        lambda *args, bound, **kw: real(*args, bound=lambda y: stop.tol, **kw))
+    summary = run_static(quadratic_field, x0, stop, record="summary")
+    assert (summary.final_round, summary.stop_reason) == (full.final_round, "tol")
+    assert summary.rows[0].positions.tobytes() == full.rows[-1].positions.tobytes()
+
+
+def test_unmapped_rounds_check_the_order_of_the_masses(monkeypatch, uniform_field):
+    # a round that swaps two masses is an internal fault even where no
+    # position is mapped
+    real = static_law._advance
+
+    def swapping(y, total):
+        out = real(y, total)
+        out[[0, -1]] = out[[-1, 0]]
+        return out
+
+    monkeypatch.setattr(static_law, "_advance", swapping)
+    with pytest.raises(NumericError, match="masses left order"):
+        run_static(uniform_field, initial_positions("all-one", 6), StopRule(tol=1e-12),
+                   record="summary")
