@@ -45,6 +45,9 @@ _KNOT_CELLS = 256         # equal cells per segment in the inverse's start table
 # 48-56 on the quadratic one and 32-48 on a degree-4 random field for
 # inverse_cdf, and near 24-40 points for cdf.
 _SCALAR_MAX = 32
+# Each segment's largest coefficient lies in [2^-1010, 2^1010]: scaled by 2^k
+# within it, results stayed bit-identical down to 2^-998, within 2e-15 below.
+_SCALE_MAX = 2.0 ** 1010
 
 
 def _inside(values, hi: float = 1.0, message: str = "points must lie in [0, 1]"):
@@ -127,10 +130,9 @@ class DensityField:
                 raise DomainError(
                     f"segment {j}: need 1..{MAX_DEGREE + 1} ascending-power coefficients"
                 )
-            if not np.all(np.isfinite(c)):
-                raise DomainError(f"segment {j}: coefficients must be finite")
-            if np.all(c == 0.0):
-                raise DomainError(f"segment {j}: density is identically zero")
+            if not 1.0 / _SCALE_MAX <= np.max(np.abs(c)) <= _SCALE_MAX:   # so F(1) is finite
+                raise DomainError(f"segment {j}: the largest coefficient magnitude must lie "
+                                  f"in [2^-1010, 2^1010]")
             segs.append(c)
 
         self.name = name
@@ -244,8 +246,9 @@ class DensityField:
         typically needs 3 or 4 passes, at most 120. A scalar m and an array
         of at most ``_SCALAR_MAX`` masses take the scalar path, a larger
         array the vector path. Both follow this one rule in the same
-        floating-point operations, so they return the same bits, and the
-        result is within 1e-13 of the true root.
+        floating-point operations, so they return the same bits. |F(x) - m|
+        is a few ulps of rho_max (the static stop bound allows 4), but where
+        rho vanishes x can be far from the root: 4.6e-6 for (x - 1/2)^2.
         """
         if isinstance(m, (int, float)) or getattr(m, "ndim", 1) == 0:
             return self._inverse_scalar(float(m))

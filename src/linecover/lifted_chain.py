@@ -35,6 +35,18 @@ its current mass target, and drags along any agent it overtakes. The
 target is z_j + z_j' under the ``pair`` rule and z_{(j-1)'} + z_j under the
 ``split`` rule; only the latter has the optimal configuration as its fixed
 point under the uniformized chain.
+
+A round writes and checks only the moved window W (the token holder and
+the agents it pushes). Rounds :func:`linecover.trace.run_rounds` does not
+map are decided by :func:`simulate_dynamic`'s enclosure of the loop's sum
+R = fl(sum e_i), e_i = fl((x_i - x*_i)^2): a running S' = S + (new - old)
+of e over W, recounted as fl(sum e) per token cycle and after an unseen
+round. With u = 2^-53 a float sum of w terms >= 0 errs by at most
+2 (w - 1) u of its value (Higham 2002, section 4.2), any other operation by
+u; so E, gamma S at a recount plus 2^-51 (|W| (old + new) + S') per update
+(twice the need, for E's own rounding), bounds |S - sum e|, and R lies in
+[(S - E)(1 - gamma), (S + E)(1 + gamma)] for gamma = (n + 2) 2^-52, which
+exceeds R's own error bound 2 (n - 1) u by the 6 u that round both ends.
 """
 
 from __future__ import annotations
@@ -287,18 +299,23 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
         left_primed = float(state.z[n + j - 2]) if j >= 2 else 0.0
         target_mass = left_primed + float(state.z[j - 1])
     x, y = state.positions, _carried_masses(field, state)
-    left = float(y[j - 2]) if j >= 2 else 0.0
+    lower, left = (float(x[j - 2]), float(y[j - 2])) if j >= 2 else (0.0, 0.0)
     c = field.inverse_cdf(min(field.total_mass, left + target_mass))
-    if j >= 2 and c < x[j - 2]:
+    if c < lower:
         # the target mass is >= F(x_{j-1}), so c >= x_{j-1} holds exactly in
         # real arithmetic; guard the one-ulp inversion case
-        c, y_c = float(x[j - 2]), left
+        c, y_c = lower, left
     else:
         y_c = field.cdf(c)
-    # the agents overtaken by c are the ordered tail's prefix below it
-    pushed = j + int(x[j:].searchsorted(c))
-    x[j - 1:pushed] = c
-    y[j - 1:pushed] = y_c
+    upper = float(x[j]) if j < n else 1.0
+    if c <= upper:   # nobody overtaken: no search, no slice writes
+        x[j - 1], y[j - 1] = c, y_c
+    else:   # the agents overtaken by c are the ordered tail's prefix below it
+        pushed = j + int(x[j:].searchsorted(c))
+        x[j - 1:pushed], y[j - 1:pushed] = c, y_c
+        upper = float(x[pushed]) if pushed < n else 1.0
+    if not lower <= c <= upper:   # the rest of x is unchanged: all of x stays ordered
+        raise NumericError(f"round {t}: agent positions left order or [0, 1]")
     return state
 
 
@@ -365,13 +382,40 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
+    n, big_u = state.n, state.chain.big_u
+    gamma = (n + 2) * 2.0 ** -52   # the enclosure's proof is in the module docstring
+    squares, known, err, seen = None, 0.0, 0.0, -2   # e, S, E and the round they describe
 
     def step(x, y):
         step_round(field, state)
         return state.positions, state.masses
 
+    def enclosure(y, xstar):
+        nonlocal squares, known, err, seen
+        x, r = state.positions, state.round_index
+        j = token_index(r, big_u)
+        if r != seen + 1 or j == 1:   # a round was skipped, or a token cycle starts
+            squares = np.square(x - xstar)
+            known = float(squares.sum())
+            err = gamma * known
+        elif j <= n:
+            if j < n and x[j] == x[j - 1]:   # maybe a push: the window shares x_j's position
+                w = slice(j - 1, j + int(x[j:].searchsorted(x[j - 1], "right")))
+                new = np.square(x[w] - xstar[w])
+                old, add, size = float(squares[w].sum()), float(new.sum()), new.size
+                squares[w] = new
+            else:
+                d = float(x[j - 1] - xstar[j - 1])
+                old, add, size = float(squares[j - 1]), d * d, 1
+                squares[j - 1] = add
+            known += add - old
+            err += 2.0 ** -51 * (size * (old + add) + known)
+        seen = r
+        return (known - err) * (1.0 - gamma), (known + err) * (1.0 + gamma)
+
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
-                      t=state.round_index, zsum=lambda: state.zsum, record=record)
+                      t=state.round_index, zsum=lambda: state.zsum, bound=enclosure,
+                      record=record)
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule, *,

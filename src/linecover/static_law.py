@@ -14,7 +14,8 @@ which is exactly the optimality condition of the balanced configuration.
 
 A run carries y alone; positions are a view, the running maximum of
 F^-1(y), mapped by :func:`static_step` only at recorded rows, the final
-round, and when this lower bound on the residual reaches tol. If rho <= P
+round, and when this lower bound on the residual reaches tol; the stop hook
+checks y's order and returns (this bound, inf). If rho <= P
 on [a, b], breakpoints and zeros of rho included, |F(a) - F(b)| <= P |a - b|.
 :meth:`DensityField.rho_near` bounds rho by P_i on the knot cells that hold
 the mass h_i around y*_i, and rho <= rho_max beyond them, so an agent
@@ -31,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .density import DensityField, check_positions, optimal_masses
+from .errors import NumericError
 from .trace import ExperimentTrace, StopRule, run_rounds
 
 MIN_AGENTS = 2   # the leftmost and rightmost agents each need a neighbour
@@ -69,9 +71,11 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
     def step(x, y):
         return (lambda: static_step(field, None, y)), _advance(y, total)
 
-    def bound(y):
+    def bound(y, xstar):
+        if not (y[0] >= 0.0 and y[-1] <= total and (y[1:] >= y[:-1]).all()):
+            raise NumericError("agent masses left order or [0, F(1)]")
         d = np.abs(y - ystar) / rho_max   # in units of rho_max, so that no scale overflows
         d += rise * np.minimum(d, reach)
-        return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink
+        return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink, np.inf
 
     return run_rounds(field, x, field.cdf(x), step, stop, bound=bound, record=record)

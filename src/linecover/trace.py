@@ -95,9 +95,8 @@ class ExperimentTrace:
 
 
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
-               step: Callable, stop: StopRule, *, t: int = 0,
+               step: Callable, stop: StopRule, *, bound: Callable, t: int = 0,
                zsum: Callable[[], float] | None = None,
-               bound: Callable[[np.ndarray], float] | None = None,
                record: str = "full") -> ExperimentTrace:
     """Advance a run round by round until the stop rule fires.
 
@@ -105,24 +104,26 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
     ``positions`` must already be validated and ``masses`` must be their
     ``field.cdf``, and ``step`` performs one round of the law, mapping
     (x, y) to the new (x, y); its x may be a view, a callable called only
-    at recorded rows, the final round and when ``bound(y)``, a lower
-    bound on the residual, is at or below tol. Rounds are numbered
-    from ``t``, the entry state included. ``max_rounds`` counts the rounds
-    executed by this call, so churn scenarios can resume a run.
+    where positions are read. Rounds are numbered from ``t``, the entry
+    state included. ``max_rounds`` counts the rounds executed by this call,
+    so churn scenarios can resume a run.
 
-    Every round computes (unmapped: bounds above tol) the squared
-    distance to the optimal configuration for the run's agent count, which
-    drives the stop rule (that optimum is also the limit of both laws, so
-    the criterion is computable online) and the trace's ``settled_round``.
+    The squared distance to the optimal configuration x* for the run's
+    agent count drives the stop rule (that optimum is also the limit of
+    both laws, so the criterion is computable online) and the trace's
+    ``settled_round``. A mapped round reads x, checks that it is ordered
+    inside [0, 1] and computes that residual: the entry round, recorded
+    rows, the final round, and rounds that ``bound(y, x*)``, a certified
+    enclosure (lo, hi) of that residual which may check the unmapped state,
+    cannot decide: lo <= tol < hi, or hi <= tol on the round that completes
+    ``persist``. So both policies reach the same decisions, bit for bit.
     ``zsum``, when given, returns the conserved mass total, which must stay
     at F(1) in every round. ``record`` chooses the rounds that keep a row
     (positions, coverage as half the largest boundary-doubled gap of their
     masses, residual and zsum): every round under ``full``, the final round
-    only under ``summary``. Coverage is computed for those rounds only.
-
-    Every round checks that the positions (unmapped: the masses) are
-    ordered and inside [0, 1] ([0, F(1)]); the final row's coverage is then
-    recomputed. Either failure is an internal fault: NumericError.
+    only under ``summary``. Coverage is computed for those rounds only. A
+    failed check, or a final coverage that differs when recomputed, is an
+    internal fault: NumericError.
     """
     every_round = check_record(record) == "full"
     x, y = positions, masses
@@ -136,18 +137,16 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
         mass = None
         if zsum is not None:
             mass = zsum()
-            if abs(mass - total) > _ZSUM_GUARD * max(1.0, total):
-                raise NumericError(f"mass conservation drifted: sum z = {mass!r}")
-        fx = y   # the masses of x, if known, for a row's coverage
-        if callable(x):   # a view
-            if every_round or k == stop.max_rounds or tol is not None and not bound(y) > tol:
-                x, fx = x(), None
-            elif y[0] >= 0.0 and y[-1] <= total and (y[1:] >= y[:-1]).all():
-                settled = t + k + 1   # the bound puts the round above tol
-                x, y = step(x, y)
+            if not abs(mass - total) <= _ZSUM_GUARD * max(1.0, total):   # NaN included
+                raise NumericError(f"round {t + k}: mass conservation drifted: sum z = {mass!r}")
+        if k and not (every_round or k == stop.max_rounds):
+            lo, hi = bound(y, xstar)
+            if tol is None or lo > tol:
+                settled = t + k + 1   # the round is above tol
+            if settled == t + k + 1 or hi <= tol and t + k + 1 - settled < persist:
+                x, y = step(x, y)   # above tol, or below it and not the stop round
                 continue
-            else:
-                raise NumericError(f"round {t + k}: agent masses left order or [0, F(1)]")
+        x, fx = (x(), None) if callable(x) else (x, y)   # fx: masses of x, unknown for a view
         if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
             raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
         residual = float(np.square(x - xstar).sum())

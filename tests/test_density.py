@@ -1,25 +1,31 @@
 """Mass geometry: cdf/inverse, coverage, optimal layout, density files."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecover import (
     DensityField,
     DomainError,
     ParseError,
+    StopRule,
     StreamRng,
     check_positions,
     coverage,
     density,
     density_from_dict,
     load_density,
+    initial_positions,
     optimal_configuration,
     resolve_density,
+    run_one,
 )
+
+from linecover.cli import main
 
 from conftest import make_random_field, random_field_spec
 
@@ -386,3 +392,63 @@ def test_presets_resolve():
 def test_random_field_factory_is_deterministic():
     # make_random_field builds its field from this spec
     assert random_field_spec(StreamRng(99)) == random_field_spec(StreamRng(99))
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
+       k=st.one_of(st.integers(-1100, 1100), st.integers(-1013, -1007), st.integers(1007, 1012)),
+       n=st.integers(3, 12))
+def test_scaled_fields_are_refused_or_run_the_same_positions(kind, seed, k, n):
+    # scaling the coefficients by 2^k is exact, so a field it leaves in range
+    # gives the same positions, and masses scaled by exactly 2^k; below a
+    # largest coefficient of 2^-998 some inverse_cdf products turn subnormal
+    # and positions may move by a few ulps (measured: at most 1.9e-15)
+    breakpoints, coefficients = {
+        "uniform": ([0.0, 1.0], [[1.0]]), "quadratic": ([0.0, 1.0], [[0.0, 0.0, 1.0]]),
+    }.get(kind) or random_field_spec(StreamRng(seed))
+    with np.errstate(over="ignore"):
+        scaled = [np.ldexp(c, k).tolist() for c in coefficients]
+    peaks = [max(map(abs, c)) for c in scaled]
+    if not all(2.0 ** -1010 <= peak <= 2.0 ** 1010 for peak in peaks):
+        with pytest.raises(DomainError, match="largest coefficient magnitude"):
+            DensityField(breakpoints, scaled)
+        return
+    slack = 0.0 if min(peaks) >= 2.0 ** -990 else 1e-14
+    field, big = DensityField(breakpoints, coefficients), DensityField(breakpoints, scaled)
+    assert big.total_mass == np.ldexp(field.total_mass, k)
+    x0 = initial_positions("random", n, StreamRng(seed, n, 0), law="dynamic")
+    pairs = [(optimal_configuration(field, n)[0], optimal_configuration(big, n)[0])]
+    for law in ("static", "dynamic"):
+        runs = [run_one(law, f, x0, StopRule(tol=None, max_rounds=20)) for f in (field, big)]
+        pairs += [(a.positions, b.positions) for a, b in zip(*(run.rows for run in runs))]
+        if not slack:
+            assert [np.ldexp(row.phi, k) for row in runs[0].rows] == [
+                row.phi for row in runs[1].rows]
+    assert max(float(np.max(np.abs(a - b))) for a, b in pairs) <= slack
+
+
+def test_density_files_out_of_scale_are_parse_errors(tmp_path, capsys):
+    # 1e308 overflows F and rho; 1e-320 is subnormal and moved the optimum by 4e-4
+    for coefficient in (1e308, 1e-320):
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps({"breakpoints": [0.0, 1.0],
+                                    "coefficients": [[coefficient, coefficient]]}))
+        assert main(["optimal", "--n", "5", "--density", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "parse"
+
+
+def test_inverse_mass_residual_stays_at_ulps_where_rho_vanishes():
+    # rho = (x - 1/2)^2: F is flat at 1/2, so roots near it are ill-posed,
+    # but F(F^-1(m)) must stay within 4 ulps of rho_max of m (exact F)
+    field = DensityField([0.0, 1.0], [[0.25, -1.0, 1.0]])
+
+    def exact_cdf(x):
+        x = Fraction(x)
+        return x**3 / 3 - x**2 / 2 + x / 4
+
+    half = float(exact_cdf(0.5))
+    masses = [half + d for d in np.linspace(-1e-12, 1e-12, 41)]
+    masses += np.linspace(0.0, field.total_mass, 201).tolist()
+    worst = max(abs(exact_cdf(field.inverse_cdf(m)) - Fraction(m)) for m in masses)
+    assert worst <= 4 * 2.0 ** -52 * field.rho_max

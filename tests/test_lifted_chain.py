@@ -3,10 +3,11 @@
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linecover import (
@@ -26,6 +27,7 @@ from linecover import (
     movement_step,
     optimal_configuration,
     remove_agent,
+    resolve_density,
     run_dynamic,
     simulate_dynamic,
     spreading_min,
@@ -33,6 +35,7 @@ from linecover import (
     step_round,
     token_index,
 )
+from linecover import lifted_chain
 from linecover.harness import INIT_MODES
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 
@@ -623,3 +626,70 @@ def test_spreading_floor_small_range():
     for n in (3, 5, 9, 14):
         chain = build_chain(n, n, "uniformized")
         assert n * spreading_min(chain) >= 0.01
+
+
+# ----------------------------------------------------------------------
+# the residual enclosure of unmapped summary rounds
+# ----------------------------------------------------------------------
+
+def dynamic_loop_parts(field, state):
+    """The step and enclosure that ``simulate_dynamic`` hands the round loop."""
+    with mock.patch.object(lifted_chain, "run_rounds", lambda *args, **kw: (args, kw)):
+        (_, _, _, step, _), kw = simulate_dynamic(field, state, StopRule(tol=1e-4))
+    return step, kw["bound"]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 60), data=st.data(), variant=st.sampled_from(VARIANTS),
+       rule=st.sampled_from(MOVEMENT_RULES), start=st.sampled_from(INIT_MODES))
+def test_enclosure_holds_the_residual_the_loop_computes(kind, seed, n, data, variant, rule,
+                                                        start):
+    # all-one and all-zero starts push long runs of agents in their first cycles
+    field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
+    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
+    x0 = initial_positions(start, n, StreamRng(seed, n, 0), law="dynamic")
+    state = initialize_state(field, x0, big_u=big_u, variant=variant, movement_rule=rule)
+    step, enclosure = dynamic_loop_parts(field, state)
+    xstar = optimal_configuration(field, n)[0]
+    skips = StreamRng(seed, n, 2)   # a mapped round skips the enclosure
+    x, y = state.positions, state.masses
+    for _ in range(4 * big_u):
+        x, y = step(x, y)
+        if skips.uniform() < 0.05:
+            continue
+        lo, hi = enclosure(y, xstar)
+        residual = float(np.square(x - xstar).sum())
+        assert lo <= residual <= hi
+        assert hi - lo <= 1e-9 * residual   # it decides all but a sliver of tols
+
+
+def test_one_ulp_guard_keeps_order_in_unmapped_rounds(quadratic_field):
+    # F^-1(F(x)) < x by an ulp at some x: an agent whose target mass is 0
+    # there moves onto its left neighbour, not an ulp below it
+    grid = np.linspace(0.01, 0.99, 2001)
+    left = next(float(v) for v in grid
+                if quadratic_field.inverse_cdf(quadratic_field.cdf(float(v))) < v)
+    j = 4   # agent j - 1 sits at left
+    x0 = np.r_[np.linspace(0.0, left, j - 1), np.linspace(0.5, 0.9, 7)]
+    state = initialize_state(quadratic_field, x0, movement_rule="pair")
+    # all mass on agent 7's unprimed state: one round later none reaches agent j
+    state.z[:] = 0.0
+    state.z[6] = quadratic_field.total_mass
+    state.round_index = j - 1
+    trace = simulate_dynamic(quadratic_field, state, StopRule(tol=1e-300, max_rounds=2),
+                             record="summary")
+    assert trace.stop_reason == "max_rounds"
+    assert trace.final_positions[j - 1] == left == x0[j - 2]
+
+
+def test_unmapped_rounds_check_the_moved_window(monkeypatch):
+    # a move past 1 (inside cdf's clipping slack) is an internal fault, caught
+    # in the round that makes it, not at the next mapped round
+    field = resolve_density("uniform")
+    real = field.inverse_cdf
+    monkeypatch.setattr(field, "inverse_cdf",
+                        lambda m: 1.0 + 1e-13 if np.ndim(m) == 0 else real(m))
+    state = initialize_state(field, np.linspace(0.1, 0.9, 5))
+    with pytest.raises(NumericError, match="round 1: agent positions left order"):
+        simulate_dynamic(field, state, StopRule(tol=1e-300, max_rounds=5), record="summary")

@@ -3,12 +3,13 @@ that everything read from a run is the same under either policy."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecover.harness
 from linecover import (
     DomainError,
+    NumericError,
     StopRule,
     StreamRng,
     add_agent,
@@ -23,6 +24,8 @@ from linecover import (
 )
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 from linecover.trace import check_record
+
+from conftest import make_random_field
 
 
 def scan_convergence(trace, tol):
@@ -170,3 +173,46 @@ def test_sweep_cells_record_one_row(uniform_field, monkeypatch):
     counts = [convergence_time(trace, 1e-4).rounds for trace in full]
     assert [row.mean_rounds for row in table.rows] == [
         np.mean(counts[:2]), np.mean(counts[2:])]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 60), data=st.data(), variant=st.sampled_from(VARIANTS),
+       rule=st.sampled_from(MOVEMENT_RULES), start=st.sampled_from(["random", "all-one"]),
+       churn=st.booleans(), pick=st.integers(0, 300), ulps=st.sampled_from([-1, 0, 1]),
+       persist=st.sampled_from([None, 1, 2]))
+def test_dynamic_summary_stops_where_full_stops(kind, seed, n, data, variant, rule, start,
+                                                 churn, pick, ulps, persist):
+    # summary rounds are decided by the enclosure, mapped rounds by the exact
+    # residual; the run must stop like a full run, whose every round is mapped
+    field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
+    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
+    x0 = initial_positions(start, n, StreamRng(seed, n, 0), law="dynamic")
+
+    def run(stop, record):
+        events = StreamRng(seed, n, 1)
+        state = initialize_state(field, x0, big_u=big_u, variant=variant, movement_rule=rule)
+        if churn:   # resumed after an agent joins and one leaves
+            simulate_dynamic(field, state, StopRule(tol=None, max_rounds=1 + n // 2),
+                             record="summary")
+            add_agent(state, events.uniform())
+            remove_agent(state, events.randint(1, state.n))
+        return simulate_dynamic(field, state, stop, record=record)
+
+    free = run(StopRule(tol=None, max_rounds=300), "full")
+    # a tol at, one ulp under or one ulp over the residual of round pick
+    residual = free.rows[pick].residual_sq
+    tol = float(np.nextafter(residual, {-1: 0.0, 0: residual, 1: np.inf}[ulps]))
+    stop = StopRule(tol=tol if tol > 0.0 else 1e-300, max_rounds=300, persist=persist)
+    full, summary = run(stop, "full"), run(stop, "summary")
+    assert stop_of(summary) == stop_of(full)
+    assert same_row(summary.rows[-1], full.rows[-1])
+
+
+@pytest.mark.parametrize("record", ["full", "summary"])
+def test_mass_guard_refuses_nan(uniform_field, record):
+    # min(F(1), left + nan) is F(1): a NaN total would pile agents at 1
+    state = initialize_state(uniform_field, np.linspace(0.1, 0.9, 6))
+    state.z[3] = np.nan
+    with pytest.raises(NumericError, match="round 0: mass conservation drifted"):
+        simulate_dynamic(uniform_field, state, StopRule(tol=1e-4, max_rounds=5), record=record)
