@@ -401,7 +401,9 @@ def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, floa
 def optimal_masses(field: DensityField, n: int) -> np.ndarray:
     """The masses F(1) (2j - 1) / (2n) of the optimal configuration's agents."""
     check_agent_count(n)
-    return field.total_mass * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    # a power of two scales exactly; 2^-64 keeps F(1) (2n - 1) finite for any accepted field
+    scale = 2.0 ** -64 if field.total_mass > 2.0 ** 900 else 1.0
+    return field.total_mass * scale * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n) / scale
 
 
 # ----------------------------------------------------------------------

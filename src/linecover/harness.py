@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -193,6 +192,7 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
     ns = [n for n in n_list for _ in range(runs)]
     run_ids = list(range(runs)) * len(n_list)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pooled sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(cell, ns, run_ids))
     else:

@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import MAX_AGENTS, DensityField, check_positions, mass_gaps
+from .density import DensityField, check_agent_count, check_positions, mass_gaps
 from .errors import DomainError, NumericError
 from .trace import ExperimentTrace, StopRule, run_rounds
 
@@ -146,9 +146,7 @@ class DynamicState:
 
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
-    if not MIN_AGENTS <= n <= MAX_AGENTS:
-        raise DomainError(f"the dynamic law needs {MIN_AGENTS} to {MAX_AGENTS} agents, "
-                          f"got n = {n}")
+    check_agent_count(n, MIN_AGENTS)
     if big_u < 3:
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
@@ -253,7 +251,7 @@ def initialize_state(field: DensityField, positions, *, big_u: int | None = None
     if big_u < n:
         raise DomainError(f"the round-trip estimate U = {big_u} is below n = {n}")
     chain = build_chain(n, big_u, variant)
-    return DynamicState(chain=chain, z=init_z(field, x), positions=x.copy(),
+    return DynamicState(chain=chain, z=init_z(field, x), positions=x,
                         movement_rule=movement_rule)
 
 
@@ -351,8 +349,8 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
     hands its mass to the right neighbor instead.
     """
     n = state.n
-    if n < 4:
-        raise DomainError("removal would drop the agent count below 3")
+    if n <= MIN_AGENTS:
+        raise DomainError(f"removal would drop the agent count below {MIN_AGENTS}")
     if not 1 <= i <= n:
         raise DomainError(f"agent index must be in 1..{n}")
     tracks = state.z.reshape(2, n)

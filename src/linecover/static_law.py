@@ -12,10 +12,11 @@ evolves as d(t+1) = (I + U/6) d(t) with the tridiagonal stencil built in
 :mod:`linecover.spectral`. All gaps converge to the common value F(1)/n,
 which is exactly the optimality condition of the balanced configuration.
 
-A run carries y alone; positions are a view, the running maximum of
-F^-1(y), mapped by :func:`static_step` only at recorded rows, the final
-round, and when this lower bound on the residual reaches tol; the stop hook
-checks y's order and returns (this bound, inf). If rho <= P
+A run carries y alone, advanced once a round by :func:`_advance`; positions
+are a view of that round's y, the running maximum of F^-1(y), mapped by
+:func:`static_step` only at recorded rows, the final round, and when this
+lower bound on the residual reaches tol; the stop hook checks y's order and
+returns (this bound, inf). If rho <= P
 on [a, b], breakpoints and zeros of rho included, |F(a) - F(b)| <= P |a - b|.
 :meth:`DensityField.rho_near` bounds rho by P_i on the knot cells that hold
 the mass h_i around y*_i, and rho <= rho_max beyond them, so an agent
@@ -50,10 +51,12 @@ def _advance(y: np.ndarray, total: float) -> np.ndarray:
 
 
 def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
-    """One simultaneous median update, evaluated at the old positions, or
-    at ``masses``, when given: ordered agent masses in [0, F(1)]."""
-    y = field.cdf(check_positions(positions, n_min=MIN_AGENTS)) if masses is None else masses
-    return np.maximum.accumulate(field.inverse_cdf(_advance(y, field.total_mass)))
+    """One simultaneous median update of the agents at ``positions``; or the
+    positions of ``masses``, when given: a round's advanced masses."""
+    if masses is None:
+        x = check_positions(positions, n_min=MIN_AGENTS)
+        masses = _advance(field.cdf(x), field.total_mass)
+    return np.maximum.accumulate(field.inverse_cdf(masses))
 
 
 def run_static(field: DensityField, positions0, stop: StopRule, *,
@@ -69,7 +72,8 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
     cut, shrink = 2.0 ** -40 * float(slope @ slope) ** 0.5, 1.0 - (n + 8) * 2.0 ** -52
 
     def step(x, y):
-        return (lambda: static_step(field, None, y)), _advance(y, total)
+        y = _advance(y, total)
+        return (lambda: static_step(field, None, y)), y
 
     def bound(y, xstar):
         if not (y[0] >= 0.0 and y[-1] <= total and (y[1:] >= y[:-1]).all()):

@@ -26,6 +26,7 @@ from linecover import (
     stationary,
 )
 from linecover.cli import _SCENARIO_DEFAULTS, entrypoint, main
+from linecover.density import MAX_AGENTS
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 
 
@@ -151,6 +152,42 @@ def test_density_files_take_only_typed_known_fields(capsys, tmp_path, spec, mess
     code, out, err = run_cli(capsys, ["optimal", "--density", str(path), "--n", "2"])
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "parse", "message": message}
+
+
+INPUT_FILES = {
+    "list.json": [1, 2],
+    "one_breakpoint.json": {"breakpoints": [0.0], "coefficients": []},
+    "two_lists.json": {"breakpoints": [0.0, 1.0], "coefficients": [[1.0], [1.0]]},
+    "no_coefficient.json": {"breakpoints": [0.0, 1.0], "coefficients": [[]]},
+}
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["simulate", "--positions", "0.5,0.2"], 2, "agent positions must be nondecreasing"),
+    (["simulate", "--scenario", "list.json"], 3, "scenario file must hold a JSON object"),
+    (["optimal", "--n", "3", "--density", "list.json"], 3, "density spec must be a JSON object"),
+    (["optimal", "--n", "3", "--density", "one_breakpoint.json"], 3,
+     "invalid density spec: breakpoints must be a 1-D list with at least 2 entries"),
+    (["optimal", "--n", "3", "--density", "two_lists.json"], 3,
+     "invalid density spec: expected 1 coefficient lists, got 2"),
+    (["optimal", "--n", "3", "--density", "no_coefficient.json"], 3,
+     "invalid density spec: segment 0: need 1..5 ascending-power coefficients"),
+    (["spectral", "--k-min", "2"], 2, "need 3 <= k-min <= k-max"),
+    (["spectral", "--k-min", "9", "--k-max", "8"], 2, "need 3 <= k-min <= k-max"),
+    (["chain", "--n", "2", "--big-u", "5"], 2, f"need 3 to {MAX_AGENTS} agents, got n = 2"),
+], ids=["positions-decrease", "scenario-not-an-object", "density-not-an-object",
+        "one-breakpoint", "coefficient-lists-per-segment", "empty-coefficients",
+        "k-min-below-3", "k-max-below-k-min", "chain-of-two-agents"])
+def test_refused_inputs_exit_with_their_code(capsys, tmp_path, monkeypatch, argv, code,
+                                             message):
+    # each refusal prints one error object and writes nothing to stdout
+    for name, data in INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LINECOVER_OUT", str(tmp_path))
+    got, out, err = run_cli(capsys, argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err) == {"error": "usage" if code == 2 else "parse", "message": message}
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -540,6 +577,15 @@ def test_malformed_input_exits_without_traceback(tmp_path, argv, code):
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a sweep with workers > 1 imports ProcessPoolExecutor
+    env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
+    code = "import sys, linecover.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_scenario_values_take_their_field_type(capsys, tmp_path):

@@ -438,6 +438,22 @@ def test_density_files_out_of_scale_are_parse_errors(tmp_path, capsys):
         assert out == "" and json.loads(err)["error"] == "parse"
 
 
+@pytest.mark.parametrize("k", [900, 950, 1000, 1010])
+def test_huge_fields_place_many_agents_as_the_uniform_preset(uniform_field, k):
+    # F(1) (2j - 1) overflowed before the division by 2n (F(1) = 2^1010,
+    # n = 10^4); scaled by 2^-64 first, the masses keep every bit
+    big = DensityField([0.0, 1.0], [[2.0 ** k]])
+    for n in (1000, 10_000):
+        want = density.optimal_masses(uniform_field, n)
+        assert density.optimal_masses(big, n).tolist() == np.ldexp(want, k).tolist()
+        assert (optimal_configuration(big, n)[0].tobytes()
+                == optimal_configuration(uniform_field, n)[0].tobytes())
+    x0 = initial_positions("random", 10_000, StreamRng(k), law="dynamic")
+    runs = [run_one("dynamic", f, x0, StopRule(tol=None, max_rounds=50), record="summary")
+            for f in (uniform_field, big)]
+    assert runs[0].rows[-1].positions.tobytes() == runs[1].rows[-1].positions.tobytes()
+
+
 def test_inverse_mass_residual_stays_at_ulps_where_rho_vanishes():
     # rho = (x - 1/2)^2: F is flat at 1/2, so roots near it are ill-posed,
     # but F(F^-1(m)) must stay within 4 ulps of rho_max of m (exact F)

@@ -151,6 +151,13 @@ def test_rng_stream_is_frozen():
     assert StreamRng(123, 4, 6).uniform() != first
 
 
+def test_randint_refuses_an_empty_range():
+    rng = StreamRng(0)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(5, 4)
+    assert rng.counter == 0 and rng.randint(4, 4) == 4
+
+
 def test_vector_uniforms_continue_the_scalar_stream():
     # 50 keys, 1000 draws after an offset: bit for bit what uniform() gives,
     # and the counter advances the same, so the two paths interleave

@@ -521,6 +521,17 @@ def test_remove_agent_floor(uniform_field):
         remove_agent(state, 2)
 
 
+def test_churn_refuses_a_position_or_index_outside_the_line(uniform_field):
+    state = initialize_state(uniform_field, [0.2, 0.4, 0.6, 0.8])
+    for x_new in (-0.1, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+            add_agent(state, x_new)
+    for i in (0, 5):
+        with pytest.raises(DomainError, match="agent index must be in 1..4"):
+            remove_agent(state, i)
+    assert state.n == 4 and state.positions.tolist() == [0.2, 0.4, 0.6, 0.8]
+
+
 def test_churn_reconverges_to_new_optimum(uniform_field):
     rng = StreamRng(45, 6, 0)
     x0 = np.sort(np.array(rng.uniforms(6)))

@@ -382,6 +382,22 @@ def test_loop_settles_below_tol_unmapped_only_when_hi_is_at_most_tol(monkeypatch
     assert len(maps) == (below if hi_over_tol else 1)
 
 
+def test_a_full_static_round_runs_the_stencil_once(monkeypatch, quadratic_field):
+    # the step advances y, and the view maps that same y through static_step:
+    # one stencil and one static_step call per round after the entry round
+    calls = {"_advance": 0, "static_step": 0}
+
+    def counted(name):
+        real = getattr(static_law, name)
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    for name in calls:
+        monkeypatch.setattr(static_law, name, counted(name))
+    trace = run_static(quadratic_field, initial_positions("all-one", 12), StopRule(tol=1e-4))
+    assert trace.final_round > 1
+    assert calls == {"_advance": trace.final_round, "static_step": trace.final_round}
+
+
 def test_unmapped_rounds_check_the_order_of_the_masses(monkeypatch, uniform_field):
     # a round that swaps two masses is an internal fault even where no
     # position is mapped

@@ -127,6 +127,12 @@ def test_summary_reads_like_full_after_churn(seed, warmup, variant):
     assert full.rows[0].t == warmup   # numbered from the resume round
 
 
+@pytest.mark.parametrize("persist", [0, -1])
+def test_stop_rule_refuses_a_persist_below_one(persist):
+    with pytest.raises(DomainError, match="persist must be at least 1"):
+        StopRule(persist=persist)
+
+
 @pytest.mark.parametrize("record", ["full", "summary"])
 def test_check_record(record):
     assert check_record(record) == record
