@@ -24,7 +24,8 @@ _INIT_ALIASES = {"random": "random-uniform-order-statistics"}
 _MIN_AGENTS = {"static": static_law.MIN_AGENTS, "dynamic": lifted_chain.MIN_AGENTS}
 
 # Ramp spacing used to make degenerate starts legal for the dynamic law's
-# distinct-position cell initialization, invisible at display precision.
+# distinct-position cell initialization, invisible at display precision;
+# above 10^6 agents the spacing is 1/n, so the ramp stays in [0, 1].
 _RAMP = 1e-6
 
 
@@ -76,8 +77,9 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
 
     ``random-uniform-order-statistics`` sorts n uniform draws. ``all-one``
     puts every agent at 1; for the dynamic law it is perturbed downward by
-    a 1e-6 ramp so the cell initialization sees distinct positions, the
-    same device the ``all-zero-perturbed`` mode applies at 0.
+    a ramp of spacing min(1e-6, 1/n) so the cell initialization sees
+    distinct positions, the same device the ``all-zero-perturbed`` mode
+    applies at 0.
     """
     mode = _INIT_ALIASES.get(mode, mode)
     if mode not in INIT_MODES:
@@ -87,11 +89,12 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
         if rng is None:
             raise DomainError("random init needs a seeded generator")
         return np.sort(rng.uniforms(n))
+    ramp = min(_RAMP, 1.0 / n)
     if mode == "all-one":
         if law == "dynamic":
-            return 1.0 - _RAMP * np.arange(n - 1, -1, -1, dtype=float)
+            return 1.0 - ramp * np.arange(n - 1, -1, -1, dtype=float)
         return np.ones(n)
-    return _RAMP * np.arange(1, n + 1, dtype=float)
+    return ramp * np.arange(1, n + 1, dtype=float)
 
 
 def static_round_budget(n: int, fhat_total: float, inv_eps: float) -> float:

@@ -109,9 +109,9 @@ class LiftedChain:
         m = z * self.share
         return np.dot(self.rates, m.take(self.sources, axis=-1)) + (z - m)
 
-    @property
+    @cached_property
     def K(self) -> np.ndarray:
-        """Dense transition matrix, built on demand (O(n^2) memory)."""
+        """Dense transition matrix, built once on first read (O(n^2) memory)."""
         return self.apply(np.eye(self.size))
 
 

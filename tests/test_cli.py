@@ -159,6 +159,7 @@ INPUT_FILES = {
     "one_breakpoint.json": {"breakpoints": [0.0], "coefficients": []},
     "two_lists.json": {"breakpoints": [0.0, 1.0], "coefficients": [[1.0], [1.0]]},
     "no_coefficient.json": {"breakpoints": [0.0, 1.0], "coefficients": [[]]},
+    "no_mass.json": {"breakpoints": [0.0, 1.0], "coefficients": [[-1e-13]]},
 }
 
 
@@ -172,11 +173,13 @@ INPUT_FILES = {
      "invalid density spec: expected 1 coefficient lists, got 2"),
     (["optimal", "--n", "3", "--density", "no_coefficient.json"], 3,
      "invalid density spec: segment 0: need 1..5 ascending-power coefficients"),
+    (["optimal", "--n", "3", "--density", "no_mass.json"], 3,
+     "invalid density spec: segment 0: segment mass must be positive"),
     (["spectral", "--k-min", "2"], 2, "need 3 <= k-min <= k-max"),
     (["spectral", "--k-min", "9", "--k-max", "8"], 2, "need 3 <= k-min <= k-max"),
     (["chain", "--n", "2", "--big-u", "5"], 2, f"need 3 to {MAX_AGENTS} agents, got n = 2"),
 ], ids=["positions-decrease", "scenario-not-an-object", "density-not-an-object",
-        "one-breakpoint", "coefficient-lists-per-segment", "empty-coefficients",
+        "one-breakpoint", "coefficient-lists-per-segment", "empty-coefficients", "no-mass",
         "k-min-below-3", "k-max-below-k-min", "chain-of-two-agents"])
 def test_refused_inputs_exit_with_their_code(capsys, tmp_path, monkeypatch, argv, code,
                                              message):
@@ -746,6 +749,20 @@ def test_chain_csv_golden_bytes(capsys, tmp_path):
         ["state"] + labels, [[name, *row] for name, row in zip(labels, chain.K)])
     assert (tmp_path / "chain_pi.csv").read_bytes() == _crlf_bytes(
         ["state", "pi"], [[name, v] for name, v in zip(labels, stationary(chain))])
+
+
+def test_chain_command_builds_the_dense_K_once(capsys, tmp_path, monkeypatch):
+    # the K CSV, mixing_profile and spreading_min read one dense build
+    apply, dense = linecover.lifted_chain.LiftedChain.apply, []
+
+    def counted(chain, z):
+        dense.append(z.ndim == 2)
+        return apply(chain, z)
+
+    monkeypatch.setattr(linecover.lifted_chain.LiftedChain, "apply", counted)
+    code, _, _ = run_cli(capsys, ["chain", "--n", "5", "--big-u", "5",
+                                  "--out-dir", str(tmp_path)])
+    assert code == 0 and sum(dense) == 1
 
 
 def test_sweep_csv_schema(capsys, tmp_path):

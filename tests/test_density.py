@@ -396,24 +396,22 @@ def test_random_field_factory_is_deterministic():
 
 @settings(max_examples=60)
 @given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
-       k=st.one_of(st.integers(-1100, 1100), st.integers(-1013, -1007), st.integers(1007, 1012)),
+       k=st.one_of(st.integers(-1100, 1100), st.integers(-993, -987), st.integers(1007, 1012)),
        n=st.integers(3, 12))
 def test_scaled_fields_are_refused_or_run_the_same_positions(kind, seed, k, n):
     # scaling the coefficients by 2^k is exact, so a field it leaves in range
     # gives the same positions, and masses scaled by exactly 2^k; below a
-    # largest coefficient of 2^-998 some inverse_cdf products turn subnormal
-    # and positions may move by a few ulps (measured: at most 1.9e-15)
+    # largest coefficient of about 2^-996 some inverse_cdf products turn
+    # subnormal and positions move by a few ulps, so those fields are refused
     breakpoints, coefficients = {
         "uniform": ([0.0, 1.0], [[1.0]]), "quadratic": ([0.0, 1.0], [[0.0, 0.0, 1.0]]),
     }.get(kind) or random_field_spec(StreamRng(seed))
     with np.errstate(over="ignore"):
         scaled = [np.ldexp(c, k).tolist() for c in coefficients]
-    peaks = [max(map(abs, c)) for c in scaled]
-    if not all(2.0 ** -1010 <= peak <= 2.0 ** 1010 for peak in peaks):
+    if not all(2.0 ** -990 <= max(map(abs, c)) <= 2.0 ** 1010 for c in scaled):
         with pytest.raises(DomainError, match="largest coefficient magnitude"):
             DensityField(breakpoints, scaled)
         return
-    slack = 0.0 if min(peaks) >= 2.0 ** -990 else 1e-14
     field, big = DensityField(breakpoints, coefficients), DensityField(breakpoints, scaled)
     assert big.total_mass == np.ldexp(field.total_mass, k)
     x0 = initial_positions("random", n, StreamRng(seed, n, 0), law="dynamic")
@@ -421,15 +419,15 @@ def test_scaled_fields_are_refused_or_run_the_same_positions(kind, seed, k, n):
     for law in ("static", "dynamic"):
         runs = [run_one(law, f, x0, StopRule(tol=None, max_rounds=20)) for f in (field, big)]
         pairs += [(a.positions, b.positions) for a, b in zip(*(run.rows for run in runs))]
-        if not slack:
-            assert [np.ldexp(row.phi, k) for row in runs[0].rows] == [
-                row.phi for row in runs[1].rows]
-    assert max(float(np.max(np.abs(a - b))) for a, b in pairs) <= slack
+        assert [np.ldexp(row.phi, k) for row in runs[0].rows] == [
+            row.phi for row in runs[1].rows]
+    assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
 
 def test_density_files_out_of_scale_are_parse_errors(tmp_path, capsys):
-    # 1e308 overflows F and rho; 1e-320 is subnormal and moved the optimum by 4e-4
-    for coefficient in (1e308, 1e-320):
+    # 1e308 overflows F and rho; 1e-320 is subnormal and moved the optimum by
+    # 4e-4; 2^-1000 moved positions by up to 5.6e-16 on random fields
+    for coefficient in (1e308, 1e-320, 9.332636185032189e-302):
         path = tmp_path / "density.json"
         path.write_text(json.dumps({"breakpoints": [0.0, 1.0],
                                     "coefficients": [[coefficient, coefficient]]}))

@@ -22,8 +22,9 @@ from linecover import (
     static_round_budget,
     sweep,
 )
-from linecover.density import DensityField
+from linecover.density import DensityField, check_positions
 from linecover.harness import INIT_MODES
+from linecover.lifted_chain import init_z
 from linecover.spectral import build_system
 
 
@@ -135,6 +136,22 @@ def test_initial_position_modes():
     for mode in INIT_MODES:
         with pytest.raises(DomainError):
             initial_positions(mode, -1, StreamRng(1, -1, 0))
+
+
+def test_ramped_starts_stay_in_range_above_a_million_agents(uniform_field):
+    # a 1e-6 spacing carried n > 10^6 agents past 1 (or below 0); the spacing
+    # 1/n keeps them distinct in [0, 1], and n <= 10^6 keeps the old bits
+    for n in (10**6 + 1, 10**6 + 2):
+        for mode in ("all-zero-perturbed", "all-one"):
+            x = initial_positions(mode, n, law="dynamic")
+            assert x[0] >= 0.0 and x[-1] <= 1.0 and np.all(np.diff(x) > 0.0)
+            assert check_positions(x).tobytes() == x.tobytes()
+        init_z(uniform_field, initial_positions("all-one", n, law="dynamic"))
+    for n in (3, 40, 999_999, 10**6):
+        old = {"all-zero-perturbed": 1e-6 * np.arange(1, n + 1, dtype=float),
+               "all-one": 1.0 - 1e-6 * np.arange(n - 1, -1, -1, dtype=float)}
+        for mode, want in old.items():
+            assert initial_positions(mode, n, law="dynamic").tobytes() == want.tobytes()
 
 
 def test_rng_stream_is_frozen():

@@ -189,6 +189,11 @@ def test_dense_K_matches_entrywise_reference():
                     assert np.array_equal(np.sort(src), np.arange(2 * n))
 
 
+def test_dense_K_is_built_once():
+    chain = build_chain(5, 5, "figure2")
+    assert chain.K is chain.K
+
+
 def test_K_is_shift_plus_reflection_in_cycle_order():
     for n in range(3, 41):
         # states 1..n are 0..n-1 and states 1'..n' are n..2n-1
