@@ -338,10 +338,11 @@ class DensityField:
 # agent configurations
 # ----------------------------------------------------------------------
 
-def check_positions(positions, n_min: int = 1) -> np.ndarray:
-    """Validate a sorted agent configuration in [0, 1]; returns a copy."""
+def check_positions(positions, n_min: int = 1, *, rows: bool = False) -> np.ndarray:
+    """Validate a sorted agent configuration in [0, 1], or with ``rows`` also
+    an (R, n) stack of them, along the last axis; returns a copy."""
     x = np.asarray(positions, dtype=float)
-    if x.ndim != 1 or x.size < n_min:
+    if not 1 <= x.ndim <= (2 if rows else 1) or x.shape[-1] < n_min or x.size < n_min:
         raise DomainError(f"need at least {n_min} agent position(s)")
     x = _inside(x, message="agent positions must lie in [0, 1]")
     if np.any(np.diff(x) < 0.0):

@@ -15,7 +15,7 @@ from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
 from .static_law import run_static
-from .trace import ExperimentTrace, StopRule
+from .trace import ExperimentTrace, StopRule, TraceBatch
 
 INIT_MODES = ("random-uniform-order-statistics", "all-one", "all-zero-perturbed")
 _INIT_ALIASES = {"random": "random-uniform-order-statistics"}
@@ -144,11 +144,22 @@ def loglog_fit(ns, values) -> FitResult:
 
 
 def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
-            record: str = "full", **options) -> ExperimentTrace:
+            record: str = "full", **options):
     """Dispatch a single run; ``record`` is the trace's recording policy and
-    ``options`` go to the dynamic law's ``initialize_state``."""
+    ``options`` go to the dynamic law's ``initialize_state``.
+
+    An (R, n) stack of starts, allowed under ``summary`` only, runs R runs
+    and gives a TraceBatch of their traces, one per row, each with the bits
+    its row's own run gives: the dynamic law steps the rows as one batch,
+    the static law runs them one by one.
+    """
     if law == "static" and options:
         raise DomainError(f"the static law takes no dynamic-law options {sorted(options)}")
+    batch = np.ndim(positions0) == 2
+    if batch and record != "summary":
+        raise DomainError(f"a batch of runs records under 'summary' only, not {record!r}")
+    if law == "static" and batch:
+        return TraceBatch(run_static(field, x, stop, record=record) for x in positions0)
     if law == "static":
         return run_static(field, positions0, stop, record=record)
     if law == "dynamic":
@@ -156,22 +167,32 @@ def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
     raise DomainError(f"unknown law {law!r}")
 
 
-def _sweep_cell(law: str, field: DensityField, init_mode: str, seed: int, tol: float,
-                max_rounds: int, options: dict, n: int, run: int) -> int:
-    """Convergence rounds of run ``run`` at n agents, from substream (seed, n, run).
+def _sweep_row(law: str, field: DensityField, init_mode: str, seed: int, runs: int,
+               tol: float, max_rounds: int, options: dict, n: int) -> list[int]:
+    """Convergence rounds of runs 0..runs-1 at n agents, each from substream
+    (seed, n, run).
 
-    The cell reads one integer from its run, which the ``summary`` policy
-    keeps without recording a row per round.
+    The distinct starts run as one :func:`run_one` call on their (R, n)
+    stack; a start bit-identical to an earlier one, as every deterministic
+    init mode gives, reuses that run. Each cell reads one integer from its
+    run, which the ``summary`` policy keeps without recording a row per round.
     """
-    x0 = initial_positions(init_mode, n, StreamRng(seed, n, run), law=law)
-    trace = run_one(law, field, x0, StopRule(tol, max_rounds), record="summary", **options)
-    rounds, converged = convergence_time(trace, tol)
-    if not converged:
-        raise NumericError(
-            f"sweep cell (law={law}, n={n}, run={run}) did not converge "
-            f"within {max_rounds} rounds"
-        )
-    return rounds
+    starts = [initial_positions(init_mode, n, StreamRng(seed, n, run), law=law)
+              for run in range(runs)]
+    keys = [x0.tobytes() for x0 in starts]
+    distinct = dict(zip(keys, starts))   # in the order of their first draw
+    traces = dict(zip(distinct, run_one(law, field, np.array(list(distinct.values())),
+                                        StopRule(tol, max_rounds), record="summary", **options)))
+    counts = []
+    for run, key in enumerate(keys):
+        rounds, converged = convergence_time(traces[key], tol)
+        if not converged:
+            raise NumericError(
+                f"sweep cell (law={law}, n={n}, run={run}) did not converge "
+                f"within {max_rounds} rounds"
+            )
+        counts.append(rounds)
+    return counts
 
 
 def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
@@ -181,7 +202,8 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
 
     Every cell draws from the substream keyed by (seed, n, run), so tables
     are identical for identical arguments regardless of worker count or
-    completion order. Each cell is one :func:`run_one` call with ``options``.
+    completion order. The runs of one n are one :func:`run_one` call with
+    ``options``; ``workers`` processes share out the agent counts.
     """
     if runs < 1:
         raise DomainError("runs must be at least 1")
@@ -191,22 +213,21 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
     n_list = [check_agent_count(int(n), n_min) for n in n_list]   # all, before any cell runs
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")
-    cell = partial(_sweep_cell, law, field, init_mode, seed, tol, max_rounds, options)
-    ns = [n for n in n_list for _ in range(runs)]
-    run_ids = list(range(runs)) * len(n_list)
+    row = partial(_sweep_row, law, field, init_mode, seed, runs, tol, max_rounds, options)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pooled sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(cell, ns, run_ids))
+            results = list(pool.map(row, n_list))
     else:
-        results = list(map(cell, ns, run_ids))
+        results = list(map(row, n_list))
 
-    counts = np.array(results, dtype=float).reshape(len(n_list), runs)
+    counts = np.array(results, dtype=float)
     rows = []
     for n, vals in zip(n_list, counts):
         mean = float(vals.mean())
-        if mean < 1.0:
-            raise NumericError(f"degenerate sweep row for n={n}: mean rounds {mean}")
+        if mean == 0.0:
+            raise DomainError(f"every start at n={n} already meets tol={tol!r}: "
+                              "there are no rounds to fit; choose a smaller tol")
         rows.append(SweepRow(n=n, mean_rounds=mean,
                              std_rounds=float(vals.std(ddof=0)), runs=runs))
     fit = loglog_fit([r.n for r in rows], [r.mean_rounds for r in rows])

@@ -56,9 +56,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DensityField, check_agent_count, check_positions, mass_gaps
+from .density import (DensityField, check_agent_count, check_positions, mass_gaps,
+                      optimal_configuration)
 from .errors import DomainError, NumericError
-from .trace import ExperimentTrace, StopRule, run_rounds
+from .trace import (ExperimentTrace, StopRule, TraceBatch, check_mass, check_order, finish,
+                    record_row, run_rounds)
 
 MIN_AGENTS = 3
 VARIANTS = ("figure2", "uniformized")
@@ -87,10 +89,10 @@ class LiftedChain:
         return 2 * self.n
 
     @cached_property
-    def rates(self) -> np.ndarray:
+    def rates(self) -> tuple[float, float]:
         """Continuing and switching probabilities, 1 - 1/U and 1/U."""
         switch = 1.0 / self.big_u
-        return np.array([1.0 - switch, switch])
+        return 1.0 - switch, switch
 
     @cached_property
     def share(self) -> np.ndarray:
@@ -102,12 +104,21 @@ class LiftedChain:
         return share
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """z K along the last axis of z, in O(n) per row."""
-        if self.variant == "uniformized":
-            return np.dot(self.rates, z.take(self.sources, axis=-1))
+        """z K along the last axis of z, in O(n) per row.
+
+        The two gathered terms are scaled and added elementwise, in one
+        fixed order, with no BLAS call: so the bits do not depend on the
+        CPU's BLAS kernel, and each row of an N-D z gets its own 1-D bits.
+        """
+        keep, switch = self.rates
         # figure2: only the moving part m leaves a state, the rest stays
-        m = z * self.share
-        return np.dot(self.rates, m.take(self.sources, axis=-1)) + (z - m)
+        m = z if self.variant == "uniformized" else z * self.share
+        moved = m.take(self.sources[0], axis=-1)
+        moved *= keep
+        switched = m.take(self.sources[1], axis=-1)
+        switched *= switch
+        moved += switched
+        return moved if m is z else moved + (z - m)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -121,7 +132,8 @@ class DynamicState:
 
     ``masses`` carries the agents' y = F(positions) from round to round;
     None means not mapped yet. Code that changes ``positions`` outside a
-    round, as churn does, resets it to None.
+    round, as churn does, resets it to None. A batch state holds R runs of
+    one chain as rows: z is (R, 2n), positions and masses are (R, n).
     """
 
     chain: LiftedChain
@@ -222,8 +234,11 @@ def init_z(field: DensityField, positions) -> np.ndarray:
     = (d_{i-1} + d_i)/4 with d from ``mass_gaps``, summing to F(1). Initial
     positions must be distinct for the cells to be well defined; later
     coincidences created by pushing are fine because initialization runs once.
+    An (R, n) stack of configurations gives the (R, 2n) variables of its rows.
     """
-    x = check_positions(positions, n_min=MIN_AGENTS)
+    x = check_positions(positions, n_min=MIN_AGENTS, rows=True)
+    if x.ndim == 2:
+        return np.array([init_z(field, row) for row in x])
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("initial positions must be distinct for cell setup")
     total = field.total_mass
@@ -241,12 +256,13 @@ def initialize_state(field: DensityField, positions, *, big_u: int | None = None
     """Build a fresh run state; U defaults to the true agent count.
 
     U < n is rejected: the token visits agents 1..U only, so agents beyond
-    U would never move on their own and the run could not converge.
+    U would never move on their own and the run could not converge. An
+    (R, n) stack of starts gives a batch state of R runs, one per row.
     """
     if movement_rule not in MOVEMENT_RULES:
         raise DomainError(f"movement rule must be one of {MOVEMENT_RULES}")
-    x = check_positions(positions, n_min=MIN_AGENTS)
-    n = x.size
+    x = check_positions(positions, n_min=MIN_AGENTS, rows=True)
+    n = x.shape[-1]
     big_u = n if big_u is None else big_u
     if big_u < n:
         raise DomainError(f"the round-trip estimate U = {big_u} is below n = {n}")
@@ -266,7 +282,7 @@ def _carried_masses(field: DensityField, state: DynamicState) -> np.ndarray:
     """The state's masses y = F(positions), mapped from the validated
     positions when they are not carried yet."""
     if state.masses is None:
-        state.masses = field.cdf(check_positions(state.positions))
+        state.masses = field.cdf(check_positions(state.positions, rows=True))
     return state.masses
 
 
@@ -282,7 +298,7 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
     is z_j + z_j' (pair rule) or z_{(j-1)'} + z_j (split rule, z_0' = 0).
     F(x_{j-1}) is read from the carried masses, and the moved and pushed
     agents all take y = F(c). Rounds whose token exceeds n are
-    communication-only.
+    communication-only. A batch state moves agent j of every row at once.
     """
     t = state.round_index
     if t < 1:
@@ -291,6 +307,8 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
     j = token_index(t, state.chain.big_u)
     if j > n:
         return state
+    if state.positions.ndim == 2:
+        return _move_rows(field, state, j)
     if state.movement_rule == "pair":
         target_mass = float(state.z[j - 1] + state.z[n + j - 1])
     else:
@@ -314,6 +332,34 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
         upper = float(x[pushed]) if pushed < n else 1.0
     if not lower <= c <= upper:   # the rest of x is unchanged: all of x stays ordered
         raise NumericError(f"round {t}: agent positions left order or [0, 1]")
+    return state
+
+
+def _move_rows(field: DensityField, state: DynamicState, j: int) -> DynamicState:
+    """movement_step for agent j of every row of a batch state: the scalar
+    move's floating-point operations, row by row, with one inverse_cdf and
+    one cdf call on the rows' masses."""
+    n, z = state.n, state.z
+    if state.movement_rule == "pair":
+        target_mass = z[:, j - 1] + z[:, n + j - 1]
+    else:
+        target_mass = (z[:, n + j - 2] if j >= 2 else 0.0) + z[:, j - 1]
+    x, y = state.positions, _carried_masses(field, state)
+    lower, left = (x[:, j - 2], y[:, j - 2]) if j >= 2 else (0.0, 0.0)
+    m = left + target_mass
+    c = field.inverse_cdf(np.where(m < field.total_mass, m, field.total_mass))   # min(F(1), m)
+    y_c = field.cdf(c)
+    guard = c < lower   # the scalar move's one-ulp guard, row by row
+    c, y_c = np.where(guard, lower, c)[:, None], np.where(guard, left, y_c)[:, None]
+    # each row's agents overtaken by c: the mover and a prefix of its ordered tail
+    over = x[:, j - 1:] < c
+    over[:, 0] = True
+    np.copyto(x[:, j - 1:], c, where=over)
+    np.copyto(y[:, j - 1:], y_c, where=over)
+    # c >= lower by the guard, and the tail keeps only agents at or above c:
+    # each row stays ordered if c <= 1, which NaN fails
+    if not (c <= 1.0).all():
+        raise NumericError(f"round {state.round_index}: agent positions left order or [0, 1]")
     return state
 
 
@@ -376,10 +422,13 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     ``record`` (see :func:`linecover.trace.run_rounds`), and also record
     the conserved mass total. ``max_rounds`` counts rounds executed by this
     call, so churn scenarios can resume a state. An unset ``persist`` is
-    one token cycle of U rounds, since one agent moves per round.
+    one token cycle of U rounds, since one agent moves per round. A batch
+    state runs under ``summary`` only and gives a TraceBatch, one trace per row.
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
+    if state.positions.ndim == 2:
+        return _simulate_rows(field, state, stop, record)
     n, big_u = state.n, state.chain.big_u
     gamma = (n + 2) * 2.0 ** -52   # the enclosure's proof is in the module docstring
     squares, known, err, seen = None, 0.0, 0.0, -2   # e, S, E and the round they describe
@@ -414,6 +463,55 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
                       t=state.round_index, zsum=lambda: state.zsum, bound=enclosure,
                       record=record)
+
+
+def _simulate_rows(field: DensityField, state: DynamicState, stop: StopRule,
+                   record: str) -> TraceBatch:
+    """simulate_dynamic for a batch state: all rows step together.
+
+    Every round checks each row's Σz and, in the move, each row's moved
+    window, and decides each row's stop by its exact residual, under the
+    stop rule of :func:`linecover.trace.run_rounds`. So each row stops on
+    the round its own run stops on under ``summary``, with the same final
+    row, whose order and coverage are checked as there. A stopped row is
+    compacted out of the state.
+    """
+    if record != "summary":
+        raise DomainError(f"a batch of runs records under 'summary' only, not {record!r}")
+    xstar, phi_star = optimal_configuration(field, state.n)
+    total, tol, t0 = field.total_mass, stop.tol, state.round_index
+    limit = -np.inf if tol is None else tol   # no residual is at or below -inf
+    _carried_masses(field, state)
+    live = np.arange(len(state.z))   # the start row of each run still going
+    traces = TraceBatch([None] * live.size)
+    settled = np.full(len(live), t0)
+    for k in range(stop.max_rounds + 1):
+        t = t0 + k
+        zsum = state.z.sum(axis=1)
+        check_mass(float(zsum[np.abs(zsum - total).argmax()]), total, t)   # the worst row
+        residual = np.square(state.positions - xstar).sum(axis=1)
+        settled = np.where(residual <= limit, settled, t + 1)
+        # the rounds settled..t have all held the criterion
+        done = settled <= t + 1 - stop.persist
+        if k == stop.max_rounds or done.any():
+            ending = done | (k == stop.max_rounds)
+            for i in np.flatnonzero(ending):
+                x = state.positions[i]
+                check_order(x, t)
+                trace = ExperimentTrace(metadata={"phi_star": phi_star}, record=record,
+                                        stop_tol=tol)
+                record_row(field, trace, t, x, state.masses[i], float(residual[i]),
+                           float(zsum[i]))
+                reason = "tol" if done[i] else "max_rounds"
+                traces[live[i]] = finish(field, trace, x, reason, int(settled[i]))
+            if ending.all():
+                break
+            go = ~ending
+            state.z, state.positions, state.masses = (
+                state.z[go], state.positions[go], state.masses[go])
+            live, settled = live[go], settled[go]
+        step_round(field, state)
+    return traces
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule, *,

@@ -69,6 +69,9 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
     peak, reach = field.rho_near(ystar)
     slope = 1.0 / np.maximum(peak / rho_max, 2.0 ** -40)   # rho_max / P_i; raising P_i is safe
     reach, rise = reach / rho_max, slope - 1.0
+    # slope @ slope and d @ d below are BLAS dot products, whose last bits
+    # depend on the CPU's kernel; they only choose which rounds get mapped,
+    # under a certified bound, so no output depends on those bits
     cut, shrink = 2.0 ** -40 * float(slope @ slope) ** 0.5, 1.0 - (n + 8) * 2.0 ** -52
 
     def step(x, y):

@@ -94,6 +94,16 @@ class ExperimentTrace:
         return self.rows[-1].phi
 
 
+class TraceBatch(list):
+    """The traces of a batch of runs, one per row of its (R, n) start.
+    ``rows`` lists the rows they recorded, run by run, so code that counts
+    a run's recorded rows counts a batch's alike."""
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        return [row for trace in self for row in trace.rows]
+
+
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
                step: Callable, stop: StopRule, *, bound: Callable, t: int = 0,
                zsum: Callable[[], float] | None = None,
@@ -137,8 +147,7 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
         mass = None
         if zsum is not None:
             mass = zsum()
-            if not abs(mass - total) <= _ZSUM_GUARD * max(1.0, total):   # NaN included
-                raise NumericError(f"round {t + k}: mass conservation drifted: sum z = {mass!r}")
+            check_mass(mass, total, t + k)
         if k and not (every_round or k == stop.max_rounds):
             lo, hi = bound(y, xstar)
             if tol is None or lo > tol:
@@ -147,8 +156,7 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
                 x, y = step(x, y)   # above tol, or below it and not the stop round
                 continue
         x, fx = (x(), None) if callable(x) else (x, y)   # fx: masses of x, unknown for a view
-        if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
-            raise NumericError(f"round {t + k}: agent positions left order or [0, 1]")
+        check_order(x, t + k)
         residual = float(np.square(x - xstar).sum())
         if tol is None or not residual <= tol:
             settled = t + k + 1
@@ -156,13 +164,40 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
         reason = ("tol" if t + k + 1 - settled >= persist
                   else "max_rounds" if k == stop.max_rounds else "")
         if reason or every_round:
-            phi = float(mass_gaps(field.cdf(x) if fx is None else fx, total).max()) / 2.0
-            trace.rows.append(TraceRow(t + k, x.copy(), phi, residual, mass))
+            record_row(field, trace, t + k, x, field.cdf(x) if fx is None else fx, residual, mass)
         if reason:
-            trace.stop_reason = reason
             break
         x, y = step(x, y)
-    trace.settled_round = settled
+    return finish(field, trace, x, reason, settled)
+
+
+def check_mass(mass: float, total: float, t: int) -> None:
+    """NumericError unless the conserved mass total of round t stays at
+    F(1) = ``total`` within the guard; NaN fails."""
+    if not abs(mass - total) <= _ZSUM_GUARD * max(1.0, total):
+        raise NumericError(f"round {t}: mass conservation drifted: sum z = {mass!r}")
+
+
+def check_order(x: np.ndarray, t: int) -> None:
+    """NumericError unless the positions x of round t are ordered inside [0, 1]."""
+    if not (x[0] >= 0.0 and x[-1] <= 1.0 and (x[1:] >= x[:-1]).all()):
+        raise NumericError(f"round {t}: agent positions left order or [0, 1]")
+
+
+def record_row(field: DensityField, trace: ExperimentTrace, t: int, x: np.ndarray,
+               masses: np.ndarray, residual: float, zsum: float | None) -> None:
+    """Append the row of round t: a copy of the positions x, their coverage
+    as half the largest boundary-doubled gap of their ``masses``, the
+    residual and zsum."""
+    phi = float(mass_gaps(masses, field.total_mass).max()) / 2.0
+    trace.rows.append(TraceRow(t, x.copy(), phi, residual, zsum))
+
+
+def finish(field: DensityField, trace: ExperimentTrace, x: np.ndarray, reason: str,
+           settled: int) -> ExperimentTrace:
+    """The trace, given its stop reason and settled round; NumericError if
+    the coverage of its final positions x, recomputed, differs from its final row's."""
+    trace.stop_reason, trace.settled_round = reason, settled
     if coverage(field, x) != trace.final_phi:
         raise NumericError("carried masses drifted from F(positions)")
     return trace

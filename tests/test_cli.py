@@ -292,6 +292,48 @@ def test_nonconverging_sweep_is_numeric_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "numeric"
 
 
+def test_sweep_whose_starts_all_meet_tol_is_usage_error(capsys, tmp_path):
+    # nothing numeric failed: the caller's tol leaves no rounds to fit
+    code, out, err = run_cli(capsys, ["sweep", "--n-list", "5,10", "--runs", "2",
+                                      "--tol", "10", "--out-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "n=5" in error["message"] and "tol=10.0" in error["message"]
+
+
+def _uses_openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS, from its build configuration, which
+    every numpy version since 1.24 prints with show_config."""
+    import contextlib
+    import io
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_config()
+    return "openblas" in text.getvalue().lower()
+
+
+@pytest.mark.skipif(not _uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_dynamic_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel for the CPU; Prescott runs on every x86-64 host.
+    # Runs of the dynamic law and a dynamic sweep table must keep every bit.
+    env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    outputs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = tmp_path / (kernel.get("OPENBLAS_CORETYPE") or "default")
+        for argv in (["simulate", "--law", "dynamic", "--density", "quadratic", "--n", "200",
+                      "--max-rounds", "3000"],
+                     ["sweep", "--law", "dynamic", "--n-list", "10,20", "--runs", "4"]):
+            proc = subprocess.run([sys.executable, "-m", "linecover.cli", *argv, "--out-dir",
+                                   str(out)], capture_output=True, text=True,
+                                  env={**env, **kernel}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("simulate_trace.csv", "sweep_sweep.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_writes_trace_and_summary(capsys, tmp_path):
     argv = [
         "simulate", "--law", "static", "--density", "uniform", "--n", "15",

@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
+import linecover
 from linecover import (
     DomainError,
+    NumericError,
     StopRule,
     StreamRng,
     convergence_time,
@@ -23,7 +25,7 @@ from linecover import (
     sweep,
 )
 from linecover.density import DensityField, check_positions
-from linecover.harness import INIT_MODES
+from linecover.harness import INIT_MODES, SweepRow
 from linecover.lifted_chain import init_z
 from linecover.spectral import build_system
 
@@ -249,18 +251,64 @@ def test_sweep_deterministic_and_shaped(uniform_field):
     assert shifted != table
 
 
+def cell_by_cell(law, field, n_list, runs, init_mode, seed, **options):
+    """The rows of a sweep table from one 1-D run per (n, run) cell."""
+    rows = []
+    for n in n_list:
+        counts = [convergence_time(run_one(
+            law, field, initial_positions(init_mode, n, StreamRng(seed, n, run), law=law),
+            StopRule(1e-4, 200_000), record="summary", **options), 1e-4).rounds
+            for run in range(runs)]
+        rows.append(SweepRow(n, float(np.mean(counts)), float(np.std(counts)), runs))
+    return tuple(rows)
+
+
 def test_sweep_parallel_matches_serial(uniform_field):
     serial = sweep("static", uniform_field, [4, 6], runs=2,
                    init_mode="random", seed=5, workers=1)
     parallel = sweep("static", uniform_field, [4, 6], runs=2,
                      init_mode="random", seed=5, workers=2)
     assert serial == parallel
-    # the dynamic law's options reach every cell through the pool
-    big_u = [sweep("dynamic", uniform_field, [4, 6], runs=2, init_mode="random",
+    assert serial.rows == cell_by_cell("static", uniform_field, [4, 6], 2, "random", 5)
+    # the dynamic law's options reach every cell through the pool, and the
+    # batch of each n gives every cell the count of its own run
+    big_u = [sweep("dynamic", uniform_field, [4, 6], runs=3, init_mode="random",
                    seed=5, workers=workers, big_u=8) for workers in (1, 2)]
     assert big_u[0] == big_u[1]
-    assert big_u[0] != sweep("dynamic", uniform_field, [4, 6], runs=2,
+    assert big_u[0].rows == cell_by_cell("dynamic", uniform_field, [4, 6], 3, "random", 5,
+                                         big_u=8)
+    assert big_u[0] != sweep("dynamic", uniform_field, [4, 6], runs=3,
                              init_mode="random", seed=5)
+
+
+def test_identical_starts_run_once(uniform_field, monkeypatch):
+    # every deterministic init mode gives each run of one n the same start
+    batches = []
+    real = linecover.harness.run_one
+    monkeypatch.setattr(linecover.harness, "run_one",
+                        lambda law, field, x0, *a, **kw: batches.append(np.shape(x0))
+                        or real(law, field, x0, *a, **kw))
+    for law in ("static", "dynamic"):
+        for mode in ("all-one", "all-zero-perturbed"):
+            batches.clear()
+            table = sweep(law, uniform_field, [4, 6], runs=3, init_mode=mode, seed=1)
+            assert batches == [(1, 4), (1, 6)]
+            assert table.rows == cell_by_cell(law, uniform_field, [4, 6], 3, mode, 1)
+            assert all(row.std_rounds == 0.0 for row in table.rows)
+
+
+def test_nonconverging_batch_names_the_first_cell_that_fails(uniform_field):
+    # the cells of n = 6 stop at different rounds: a max_rounds between them
+    # fails some, and the error names the first in (n, run) order
+    counts = {(n, run): convergence_time(run_one(
+        "dynamic", uniform_field, initial_positions("random", n, StreamRng(3, n, run)),
+        StopRule(1e-4, 200_000), record="summary"), 1e-4).rounds
+        for n in (4, 6) for run in range(4)}
+    cap = sorted(counts.values())[3]
+    first = min(cell for cell, rounds in counts.items() if rounds > cap)
+    with pytest.raises(NumericError, match=re.escape(f"n={first[0]}, run={first[1]})")):
+        sweep("dynamic", uniform_field, [4, 6], runs=4, init_mode="random", seed=3,
+              max_rounds=cap)
 
 
 @pytest.mark.parametrize("option", [{"variant": "figure2"}, {"big_u": 3},

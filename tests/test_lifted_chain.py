@@ -29,6 +29,7 @@ from linecover import (
     remove_agent,
     resolve_density,
     run_dynamic,
+    run_one,
     simulate_dynamic,
     spreading_min,
     stationary,
@@ -707,5 +708,106 @@ def test_unmapped_rounds_check_the_moved_window(monkeypatch):
     monkeypatch.setattr(field, "inverse_cdf",
                         lambda m: 1.0 + 1e-13 if np.ndim(m) == 0 else real(m))
     state = initialize_state(field, np.linspace(0.1, 0.9, 5))
+    with pytest.raises(NumericError, match="round 1: agent positions left order"):
+        simulate_dynamic(field, state, StopRule(tol=1e-300, max_rounds=5), record="summary")
+
+
+# ----------------------------------------------------------------------
+# batches: the runs of one n and U stepped as the rows of one state
+# ----------------------------------------------------------------------
+
+@given(n=st.integers(3, 40), data=st.data(), variant=st.sampled_from(VARIANTS),
+       rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_apply_on_rows_equals_serial_calls(n, data, variant, rows, seed):
+    chain = build_chain(n, data.draw(st.integers(n, 3 * n), label="big_u"), variant)
+    z = np.random.default_rng(seed).random((rows, 2 * n))
+    batch = chain.apply(z)
+    assert batch.tobytes() == np.array([chain.apply(row) for row in z]).tobytes()
+
+
+def final_bits(trace):
+    row = trace.rows[-1]
+    return (trace.stop_reason, trace.settled_round, row.t, row.positions.tobytes(),
+            row.phi, row.residual_sq, row.zsum)
+
+
+def batch_matching_its_runs(field, starts, stop, **options):
+    """The traces of ``starts`` run as one batch, each checked bit for bit
+    against its own row's run under ``summary``."""
+    batch = run_one("dynamic", field, starts, stop, record="summary", **options)
+    assert len(batch) == len(starts)
+    for x0, trace in zip(starts, batch):
+        alone = run_one("dynamic", field, x0, stop, record="summary", **options)
+        assert final_bits(trace) == final_bits(alone)
+    return batch
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 40), rows=st.integers(1, 9), data=st.data(),
+       variant=st.sampled_from(VARIANTS), rule=st.sampled_from(MOVEMENT_RULES),
+       tol=st.sampled_from([1e-1, 1e-2, 1e-3, None]))
+def test_batch_rows_match_their_own_runs(kind, seed, n, rows, data, variant, rule, tol):
+    # the optimum as one start stops a token cycle or so before the random
+    # ones, and max_rounds of a few cycles cuts the slowest rows
+    field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
+    big_u = data.draw(st.integers(n, 3 * n), label="big_u")
+    starts = np.array([initial_positions("random", n, StreamRng(seed, n, run), law="dynamic")
+                       for run in range(rows)])
+    starts[0] = optimal_configuration(field, n)[0]
+    stop = StopRule(tol, data.draw(st.integers(big_u, 6 * big_u), label="max_rounds"))
+    batch_matching_its_runs(field, starts, stop, big_u=big_u, variant=variant,
+                            movement_rule=rule)
+
+
+def test_batch_rows_stop_apart_and_at_max_rounds(quadratic_field):
+    n = 12
+    starts = np.array([optimal_configuration(quadratic_field, n)[0]]
+                      + [initial_positions("random", n, StreamRng(7, n, run), law="dynamic")
+                         for run in range(5)])
+    batch = batch_matching_its_runs(quadratic_field, starts, StopRule(1e-3, 60))
+    reasons = [trace.stop_reason for trace in batch]
+    assert reasons.count("max_rounds") == 2
+    assert len({trace.final_round for trace in batch if trace.stop_reason == "tol"}) == 4
+    assert len(batch.rows) == len(starts)   # one summary row per run
+
+
+def test_batch_runs_record_under_summary_only(uniform_field):
+    starts = np.array([[0.2, 0.5, 0.8], [0.1, 0.4, 0.9]])
+    for call in (lambda: run_one("dynamic", uniform_field, starts, StopRule()),
+                 lambda: simulate_dynamic(uniform_field, initialize_state(uniform_field, starts),
+                                          StopRule())):
+        with pytest.raises(DomainError, match="summary"):
+            call()
+
+
+def test_one_ulp_guard_holds_row_by_row(quadratic_field):
+    # the state of test_one_ulp_guard_keeps_order_in_unmapped_rounds as one
+    # row of a batch, next to a row whose agent j reaches its neighbour exactly
+    grid = np.linspace(0.01, 0.99, 2001)
+    left = next(float(v) for v in grid
+                if quadratic_field.inverse_cdf(quadratic_field.cdf(float(v))) < v)
+    j = 4
+    x0 = np.r_[np.linspace(0.0, left, j - 1), np.linspace(0.5, 0.9, 7)]
+    other = np.linspace(0.05, 0.95, 10)
+    assert quadratic_field.inverse_cdf(quadratic_field.cdf(other[j - 2])) == other[j - 2]
+    state = initialize_state(quadratic_field, np.array([x0, other]), movement_rule="pair")
+    state.z[:] = 0.0
+    state.z[:, 6] = quadratic_field.total_mass
+    state.round_index = j - 1
+    batch = simulate_dynamic(quadratic_field, state, StopRule(tol=1e-300, max_rounds=2),
+                             record="summary")
+    assert [trace.stop_reason for trace in batch] == ["max_rounds"] * 2
+    assert batch[0].final_positions[j - 1] == left == x0[j - 2]
+    assert batch[1].final_positions[j - 1] == other[j - 2]
+
+
+def test_batch_rounds_check_each_moved_window(monkeypatch):
+    field = resolve_density("uniform")
+    real = field.inverse_cdf
+    monkeypatch.setattr(field, "inverse_cdf",
+                        lambda m: np.full(np.shape(m), 1.0 + 1e-13) if np.ndim(m) else real(m))
+    starts = np.array([np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.8, 5)])
+    state = initialize_state(field, starts)
     with pytest.raises(NumericError, match="round 1: agent positions left order"):
         simulate_dynamic(field, state, StopRule(tol=1e-300, max_rounds=5), record="summary")

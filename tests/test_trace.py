@@ -164,12 +164,15 @@ def test_summary_keeps_the_last_round_above_tol_wherever_it_falls(uniform_field)
         assert convergence_time(trace, tol) == ((k + 1, True) if k < 30 else (30, False))
 
 
-def test_sweep_cells_record_one_row(uniform_field, monkeypatch):
-    traces = []
+def test_sweep_rows_record_one_row_per_run(uniform_field, monkeypatch):
+    # one run_one call per agent count, on the (runs, n) stack of starts
+    batches = []
     real = linecover.harness.run_one
     monkeypatch.setattr(linecover.harness, "run_one",
-                        lambda *args, **kw: traces.append(real(*args, **kw)) or traces[-1])
+                        lambda *args, **kw: batches.append(real(*args, **kw)) or batches[-1])
     table = sweep("dynamic", uniform_field, [4, 6], runs=2, init_mode="random", seed=31)
+    assert [len(batch) for batch in batches] == [2, 2]
+    traces = [trace for batch in batches for trace in batch]
     assert [len(trace.rows) for trace in traces] == [1] * 4
     assert [trace.record for trace in traces] == ["summary"] * 4
     # each cell's count is its run's convergence round over every round
