@@ -132,15 +132,15 @@ class SweepTable:
 
 
 def loglog_fit(ns, values) -> FitResult:
-    """Least-squares slope of log(values) against log(ns)."""
-    lx = np.log(np.asarray(ns, dtype=float))
-    ly = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    """Least-squares slope of log(values) on log(ns), in closed form: the same bits on any BLAS."""
+    lx, ly = [math.log(n) for n in ns], [math.log(v) for v in values]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    dx, dy = [x - mx for x in lx], [y - my for y in ly]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(float(slope), float(intercept), r2)
+    return FitResult(slope, my - slope * mx, r2)
 
 
 def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,

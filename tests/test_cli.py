@@ -316,7 +316,8 @@ def _uses_openblas() -> bool:
 @pytest.mark.skipif(not _uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
 def test_dynamic_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS picks its kernel for the CPU; Prescott runs on every x86-64 host.
-    # Runs of the dynamic law and a dynamic sweep table must keep every bit.
+    # Runs of the dynamic law and a dynamic sweep table must keep every bit,
+    # and so must a sweep's log-log fit (np.polyfit's last digits moved here)
     env = dict(os.environ, PYTHONPATH=str(Path(linecover.__file__).parents[1]))
     env.pop("OPENBLAS_CORETYPE", None)
     outputs = []
@@ -324,13 +325,17 @@ def test_dynamic_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         out = tmp_path / (kernel.get("OPENBLAS_CORETYPE") or "default")
         for argv in (["simulate", "--law", "dynamic", "--density", "quadratic", "--n", "200",
                       "--max-rounds", "3000"],
-                     ["sweep", "--law", "dynamic", "--n-list", "10,20", "--runs", "4"]):
+                     ["sweep", "--law", "dynamic", "--n-list", "10,20", "--runs", "4"],
+                     ["sweep", "--law", "static", "--init", "all-one", "--n-list", "5,10,20",
+                      "--runs", "2", "--prefix", "static"]):
             proc = subprocess.run([sys.executable, "-m", "linecover.cli", *argv, "--out-dir",
                                    str(out)], capture_output=True, text=True,
                                   env={**env, **kernel}, timeout=120)
             assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes()
                         for name in ("simulate_trace.csv", "sweep_sweep.csv")])
+        outputs[-1] += [json.loads((out / f"{prefix}_summary.json").read_text())["fit"]
+                        for prefix in ("sweep", "static")]
     assert outputs[0] == outputs[1]
 
 
