@@ -18,7 +18,9 @@ K = (1 - 1/U) C + (1/U) R, the shift-plus-flip lifted walk of Diaconis,
 Holmes & Neal (2000), stored as the in-edges of C (``sources[0]``) and R
 (``sources[1]``): a round z K is one gather and a two-term weighted sum,
 O(n), not a dense 2n x 2n product. C alone is the 2n-cycle, so the support
-is irreducible.
+is irreducible. The state reversal J, d -> 2n-1-d (agent i <-> (n+1-i)'),
+is the rotation by n in cycle order and commutes with C, R and ``share``,
+so the chain is mirror-symmetric: K = JKJ.
 
 Two variants are provided:
 
@@ -196,17 +198,26 @@ def mixing_profile(chain: LiftedChain, eps: float) -> tuple[int, list[float]]:
     Returns (t_mix, vcurve) where vcurve[t] = max_i ||(K^t)_i - pi||_1 and
     t_mix is the first t from which the curve stays below eps for 2n
     consecutive rounds (the monitored window; the curve is not monotone).
+
+    Only rows 0..n-1 of K^t are carried. The state reversal J, d -> 2n-1-d,
+    is the rotation by n in cycle order, which commutes with C and R, and
+    ``share`` is J-invariant; so K = JKJ, K^t = J K^t J and pi = J pi, and
+    row J(i) of K^t is row i reversed, at the same distance from pi. The
+    cap of 2000 + 600 max(n, U) rounds allows for t_mix growing as about 5U
+    when U >= n; the chain alone also takes U < n, where t_mix grows with n.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     pi = stationary(chain)
     window = chain.size
-    cap = 2000 + 600 * chain.n
+    cap = 2000 + 600 * max(chain.n, chain.big_u)
     K = chain.K
-    powers = np.eye(chain.size)
+    powers = np.eye(chain.n, chain.size)
+    gap = np.empty_like(powers)
     vcurve, settled = [], 0
     for t in range(cap + 1):
-        v = float(np.max(np.abs(powers - pi).sum(axis=1)))
+        np.subtract(powers, pi, out=gap)
+        v = float(np.abs(gap, out=gap).sum(axis=1).max())
         vcurve.append(v)
         if not v < eps:
             settled = t + 1

@@ -1,11 +1,16 @@
-"""Shared fixtures: bundled fields, a seeded random-field factory, and the
-Hypothesis profile (derandomized, so every run draws the same examples)."""
+"""Shared fixtures: bundled fields, a seeded random-field factory, a
+strategy for fields with one narrow steep segment, and the Hypothesis
+profile (derandomized, so every run draws the same examples)."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from linecover import DensityField, StreamRng, quadratic_density, uniform_density
 
@@ -63,3 +68,33 @@ def random_field_spec(rng: StreamRng, max_segments: int = 4,
 @pytest.fixture
 def random_field_factory():
     return make_random_field
+
+
+def centred_power(base: float, scale: float, centre: float, degree: int) -> list[float]:
+    """base + scale (x - centre)^degree in ascending powers of x, each
+    coefficient rounded once from its exact value."""
+    a = Fraction(centre)
+    exact = [Fraction(math.comb(degree, k)) * Fraction(scale) * (-a) ** (degree - k)
+             for k in range(degree + 1)]
+    exact[0] += Fraction(base)
+    return [float(v) for v in exact]
+
+
+@st.composite
+def narrow_segment_fields(draw):
+    """Breakpoints and coefficients of a 3- or 4-segment field with one narrow
+    segment [b, b + w], w in [1e-4, 1e-2], b in [0.05, 0.9], where
+    rho = r + s (x - a)^d with a inside it, d in {2, 4}, s in [1e2, 1e12];
+    the other segments are polynomials with positive coefficients."""
+    width = 10.0 ** draw(st.floats(-4.0, -2.0))
+    left = draw(st.floats(0.05, 0.9))
+    breakpoints = [0.0, left, left + width, 1.0]
+    if draw(st.booleans()):
+        breakpoints.insert(1, left * draw(st.floats(0.2, 0.8)))
+    positive = st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3)
+    coefficients = [draw(positive) for _ in breakpoints[1:]]
+    centre = left + width * draw(st.floats(0.05, 0.95))
+    coefficients[-2] = centred_power(draw(st.floats(0.25, 4.0)),
+                                     10.0 ** draw(st.floats(2.0, 12.0)),
+                                     centre, draw(st.sampled_from([2, 4])))
+    return breakpoints, coefficients

@@ -863,6 +863,13 @@ def test_chain_outputs(capsys, tmp_path):
     assert pis == pytest.approx([1 / 8, 1 / 4, 1 / 8, 1 / 8, 1 / 4, 1 / 8], abs=1e-12)
 
 
+def test_chain_with_u_far_above_n_settles(capsys, tmp_path):
+    # t_mix is 10,019 here; the round cap once ignored U and stopped at 4,400
+    code, out, _ = run_cli(capsys, ["chain", "--n", "4", "--big-u", "2000",
+                                    "--variant", "uniformized", "--out-dir", str(tmp_path)])
+    assert code == 0 and json.loads(out)["t_mix"] == 10019
+
+
 def test_chain_takes_no_movement_rule(capsys, tmp_path):
     # the chain diagnostics do not depend on the movement rule
     code, _, _ = run_cli(capsys, ["chain", "--n", "3", "--big-u", "3", "--rule", "pair",

@@ -28,7 +28,7 @@ from linecover import (
 
 from linecover.cli import main
 
-from conftest import make_random_field, random_field_spec
+from conftest import centred_power, make_random_field, narrow_segment_fields, random_field_spec
 
 
 # ----------------------------------------------------------------------
@@ -277,16 +277,6 @@ def exact_cdf(breakpoints, coefficients, x) -> Fraction:
     return total
 
 
-def centred_power(base: float, scale: float, centre: float, degree: int) -> list[float]:
-    """base + scale (x - centre)^degree in ascending powers of x, each
-    coefficient rounded once from its exact value."""
-    a = Fraction(centre)
-    exact = [Fraction(math.comb(degree, k)) * Fraction(scale) * (-a) ** (degree - k)
-             for k in range(degree + 1)]
-    exact[0] += Fraction(base)
-    return [float(v) for v in exact]
-
-
 def narrow_spec(scale: float) -> tuple[list[float], list[list[float]]]:
     """rho = 1 on [0, 0.99) and 1 + scale (x - 0.995)^4, expanded in x, on [0.99, 1]."""
     return [0.0, 0.99, 1.0], [[1.0], centred_power(1.0, scale, 0.995, 4)]
@@ -320,26 +310,6 @@ def test_narrow_segment_inverse_stays_inside_the_static_slack(scale):
     assert [field.inverse_cdf(m) for m in masses.tolist()] == x.tolist()
     assert max(abs(exact_cdf(breakpoints, coefficients, p) - Fraction(m))
                for p, m in zip(x.tolist(), masses.tolist())) <= 2.0 ** -40 * field.rho_max
-
-
-@st.composite
-def narrow_segment_fields(draw):
-    """Breakpoints and coefficients of a 3- or 4-segment field with one narrow
-    segment [b, b + w], w in [1e-4, 1e-2], b in [0.05, 0.9], where
-    rho = r + s (x - a)^d with a inside it, d in {2, 4}, s in [1e2, 1e12];
-    the other segments are polynomials with positive coefficients."""
-    width = 10.0 ** draw(st.floats(-4.0, -2.0))
-    left = draw(st.floats(0.05, 0.9))
-    breakpoints = [0.0, left, left + width, 1.0]
-    if draw(st.booleans()):
-        breakpoints.insert(1, left * draw(st.floats(0.2, 0.8)))
-    positive = st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3)
-    coefficients = [draw(positive) for _ in breakpoints[1:]]
-    centre = left + width * draw(st.floats(0.05, 0.95))
-    coefficients[-2] = centred_power(draw(st.floats(0.25, 4.0)),
-                                     10.0 ** draw(st.floats(2.0, 12.0)),
-                                     centre, draw(st.sampled_from([2, 4])))
-    return breakpoints, coefficients
 
 
 # the largest error over 500 derandomized and 1,500 random draws of the

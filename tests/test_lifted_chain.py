@@ -633,6 +633,58 @@ def test_mixing_profile_stops_2n_rounds_after_settling(n, data, variant, eps):
     assert t_mix == 0 or vcurve[t_mix - 1] >= eps
 
 
+@given(n=st.integers(3, 60), data=st.data(), variant=st.sampled_from(VARIANTS))
+def test_chain_is_mirror_symmetric(n, data, variant):
+    # mixing_profile carries rows 0..n-1 of K^t only: the state reversal
+    # d -> 2n-1-d must map K and pi to themselves, bit for bit
+    chain = build_chain(n, data.draw(st.integers(n, 3 * n), label="big_u"), variant)
+    assert np.array_equal(chain.K[::-1, ::-1], chain.K)
+    pi = stationary(chain)
+    assert np.array_equal(pi[::-1], pi)
+
+
+def full_mixing_profile(chain, eps):
+    """mixing_profile's curve over all 2n rows of K^t, with the dense product."""
+    pi, window, K = stationary(chain), chain.size, chain.K
+    powers = np.eye(chain.size)
+    vcurve, settled = [], 0
+    for t in range(2000 + 600 * chain.big_u + 1):
+        vcurve.append(float(np.max(np.abs(powers - pi).sum(axis=1))))
+        if not vcurve[-1] < eps:
+            settled = t + 1
+        if t + 1 - settled >= window:
+            return settled, vcurve
+        powers = powers @ K
+    raise AssertionError("the reference curve did not settle")
+
+
+@given(n=st.integers(3, 30), data=st.data(), variant=st.sampled_from(VARIANTS),
+       eps=st.floats(1e-3, 0.5))
+def test_mixing_profile_matches_the_curve_over_all_rows(n, data, variant, eps):
+    chain = build_chain(n, data.draw(st.integers(n, 3 * n), label="big_u"), variant)
+    t_mix, vcurve = mixing_profile(chain, eps)
+    ref_t_mix, ref_vcurve = full_mixing_profile(chain, eps)
+    assert (t_mix, len(vcurve)) == (ref_t_mix, len(ref_vcurve))
+    # to first order in u = 2^-53, a round adds at most 3u to the l1 error of
+    # a row of K^t (an entry sums at most three products), and the two curves
+    # sum a row's 2n distances in opposite orders: so they part by at most
+    # (6t + 4n v + 2) u. The largest shift measured on 1,120 chains (n = 3-30,
+    # U = n-3n, eps down to 1e-3) was 0.12 of that
+    shift = np.abs(np.subtract(vcurve, ref_vcurve))
+    t = np.arange(len(vcurve))
+    assert np.all(shift <= (6 * t + 4 * n * np.array(ref_vcurve) + 2) * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("n, big_u, variant, eps, want", [
+    (3, 1000, "uniformized", 0.01, 4890), (54, 3, "figure2", 1e-3, 4064)])
+def test_mixing_round_cap_grows_with_n_and_u(n, big_u, variant, eps, want):
+    # t_mix grows as about 5U for U >= n, and with n at U < n, which the
+    # chain alone takes: a cap of 2000 + 600 n refuses the first chain, and
+    # one of 2000 + 600 U the second
+    t_mix, vcurve = mixing_profile(build_chain(n, big_u, variant), eps)
+    assert t_mix == want and len(vcurve) == t_mix + 2 * n
+
+
 def test_mixing_profile_eps_domain():
     chain = build_chain(3, 3, "uniformized")
     with pytest.raises(DomainError):

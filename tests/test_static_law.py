@@ -28,7 +28,7 @@ from linecover.harness import INIT_MODES
 from linecover.spectral import build_system
 
 import exact
-from conftest import make_random_field, random_field_spec
+from conftest import make_random_field, narrow_segment_fields, random_field_spec
 
 
 def test_step_two_agents_by_hand(uniform_field):
@@ -277,8 +277,10 @@ def fields_with_breakpoints_and_zeros(draw):
 
 
 @settings(max_examples=60)
-@given(field=fields_with_breakpoints_and_zeros(), n=st.integers(2, 24),
-       start=st.sampled_from(["random", "all-one", "optimum"]), seed=st.integers(0, 2**32 - 1))
+@given(field=st.one_of(fields_with_breakpoints_and_zeros(),
+                       narrow_segment_fields().map(lambda spec: DensityField(*spec))),
+       n=st.integers(2, 24), start=st.sampled_from(["random", "all-one", "optimum"]),
+       seed=st.integers(0, 2**32 - 1))
 def test_stop_bound_never_exceeds_the_residual_of_the_view(field, n, start, seed):
     if start == "optimum":
         x0 = optimal_configuration(field, n)[0]
