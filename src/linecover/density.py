@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,14 @@ def check_agent_count(n: int, n_min: int = 1) -> int:
     if not n_min <= n <= MAX_AGENTS:
         raise DomainError(f"need {n_min} to {MAX_AGENTS} agents, got n = {n}")
     return n
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int, if it is an int or a numpy integer; DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, float]:

@@ -20,7 +20,7 @@ from .trace import ExperimentTrace, StopRule, TraceBatch
 INIT_MODES = ("random-uniform-order-statistics", "all-one", "all-zero-perturbed")
 _INIT_ALIASES = {"random": "random-uniform-order-statistics"}
 
-# The fewest agents each law runs with.
+# The laws, and the fewest agents each runs with.
 _MIN_AGENTS = {"static": static_law.MIN_AGENTS, "dynamic": lifted_chain.MIN_AGENTS}
 
 # Ramp spacing used to make degenerate starts legal for the dynamic law's
@@ -84,6 +84,8 @@ def initial_positions(mode: str, n: int, rng: StreamRng | None = None,
     mode = _INIT_ALIASES.get(mode, mode)
     if mode not in INIT_MODES:
         raise DomainError(f"unknown init mode {mode!r}")
+    if law not in _MIN_AGENTS:
+        raise DomainError(f"unknown law {law!r}")
     check_agent_count(n)
     if mode == "random-uniform-order-statistics":
         if rng is None:

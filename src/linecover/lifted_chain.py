@@ -40,15 +40,11 @@ point under the uniformized chain.
 
 A round writes and checks only the moved window W (the token holder and
 the agents it pushes). Rounds :func:`linecover.trace.run_rounds` does not
-map are decided by :func:`simulate_dynamic`'s enclosure of the loop's sum
-R = fl(sum e_i), e_i = fl((x_i - x*_i)^2): a running S' = S + (new - old)
-of e over W, recounted as fl(sum e) per token cycle and after an unseen
-round. With u = 2^-53 a float sum of w terms >= 0 errs by at most
-2 (w - 1) u of its value (Higham 2002, section 4.2), any other operation by
-u; so E, gamma S at a recount plus 2^-51 (|W| (old + new) + S') per update
-(twice the need, for E's own rounding), bounds |S - sum e|, and R lies in
-[(S - E)(1 - gamma), (S + E)(1 + gamma)] for gamma = (n + 2) 2^-52, which
-exceeds R's own error bound 2 (n - 1) u by the 6 u that round both ends.
+map are decided by :func:`simulate_dynamic`'s exact residual fl(sum e) of
+the carried e_i = fl((x_i - x*_i)^2), rewritten over W (all of e after a
+round it did not see). IEEE arithmetic rounds each e_i alike wherever it is
+computed, and numpy's pairwise sum depends only on the values and their
+order: the sum is the loop's residual, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +54,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import (DensityField, check_agent_count, check_positions, mass_gaps,
-                      optimal_configuration)
+from .density import (DensityField, check_agent_count, check_integer, check_positions,
+                      mass_gaps, optimal_configuration)
 from .errors import DomainError, NumericError
 from .trace import (ExperimentTrace, StopRule, TraceBatch, check_mass, check_order, finish,
                     record_row, run_rounds)
@@ -160,8 +156,8 @@ class DynamicState:
 
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
-    check_agent_count(n, MIN_AGENTS)
-    if big_u < 3:
+    check_agent_count(check_integer(n, "the agent count n"), MIN_AGENTS)
+    if check_integer(big_u, "the round-trip estimate U") < 3:
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
@@ -386,6 +382,8 @@ def step_round(field: DensityField, state: DynamicState) -> DynamicState:
 
 def add_agent(state: DynamicState, x_new: float) -> DynamicState:
     """Insert an agent at x_new with zeroed variables (mass sum unchanged)."""
+    if state.positions.ndim == 2:
+        raise DomainError(f"churn acts on one run, not on a batch of {len(state.positions)} runs")
     if not 0.0 <= x_new <= 1.0:
         raise DomainError("new agent position must lie in [0, 1]")
     n = state.n
@@ -405,6 +403,8 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
     whole amount to its unprimed variable keeps the total at F(1). Agent 1
     hands its mass to the right neighbor instead.
     """
+    if state.positions.ndim == 2:
+        raise DomainError(f"churn acts on one run, not on a batch of {len(state.positions)} runs")
     n = state.n
     if n <= MIN_AGENTS:
         raise DomainError(f"removal would drop the agent count below {MIN_AGENTS}")
@@ -441,38 +441,30 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     if state.positions.ndim == 2:
         return _simulate_rows(field, state, stop, record)
     n, big_u = state.n, state.chain.big_u
-    gamma = (n + 2) * 2.0 ** -52   # the enclosure's proof is in the module docstring
-    squares, known, err, seen = None, 0.0, 0.0, -2   # e, S, E and the round they describe
+    squares, seen = None, -2   # fl((x_i - x*_i)^2) per agent, and the round they describe
 
     def step(x, y):
         step_round(field, state)
         return state.positions, state.masses
 
-    def enclosure(y, xstar):
-        nonlocal squares, known, err, seen
+    def residual(y, xstar):
+        nonlocal squares, seen
         x, r = state.positions, state.round_index
         j = token_index(r, big_u)
-        if r != seen + 1 or j == 1:   # a round was skipped, or a token cycle starts
+        if r != seen + 1:   # a round the hook did not see
             squares = np.square(x - xstar)
-            known = float(squares.sum())
-            err = gamma * known
+        elif j < n and x[j] == x[j - 1]:   # maybe a push: the window shares x_j's position
+            w = slice(j - 1, j + int(x[j:].searchsorted(x[j - 1], "right")))
+            squares[w] = np.square(x[w] - xstar[w])
         elif j <= n:
-            if j < n and x[j] == x[j - 1]:   # maybe a push: the window shares x_j's position
-                w = slice(j - 1, j + int(x[j:].searchsorted(x[j - 1], "right")))
-                new = np.square(x[w] - xstar[w])
-                old, add, size = float(squares[w].sum()), float(new.sum()), new.size
-                squares[w] = new
-            else:
-                d = float(x[j - 1] - xstar[j - 1])
-                old, add, size = float(squares[j - 1]), d * d, 1
-                squares[j - 1] = add
-            known += add - old
-            err += 2.0 ** -51 * (size * (old + add) + known)
+            d = float(x[j - 1] - xstar[j - 1])
+            squares[j - 1] = d * d
         seen = r
-        return (known - err) * (1.0 - gamma), (known + err) * (1.0 + gamma)
+        s = float(squares.sum())   # the loop's residual, bit for bit (module docstring)
+        return s, s
 
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
-                      t=state.round_index, zsum=lambda: state.zsum, bound=enclosure,
+                      t=state.round_index, zsum=lambda: state.zsum, bound=residual,
                       record=record)
 
 

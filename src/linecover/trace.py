@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityField, coverage, mass_gaps, optimal_configuration
+from .density import DensityField, check_integer, coverage, mass_gaps, optimal_configuration
 from .errors import DomainError, NumericError
 
 _ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
@@ -31,9 +31,9 @@ class StopRule:
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0.0:
             raise DomainError("tol must be positive (or None to disable)")
-        if self.max_rounds < 1:
+        if check_integer(self.max_rounds, "max_rounds") < 1:
             raise DomainError("max_rounds must be at least 1")
-        if self.persist is not None and self.persist < 1:
+        if self.persist is not None and check_integer(self.persist, "persist") < 1:
             raise DomainError("persist must be at least 1")
 
 
@@ -124,9 +124,10 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
     ``settled_round``. A mapped round reads x, checks that it is ordered
     inside [0, 1] and computes that residual: the entry round, recorded
     rows, the final round, and rounds that ``bound(y, x*)``, a certified
-    enclosure (lo, hi) of that residual which may check the unmapped state,
-    cannot decide: lo <= tol < hi, or hi <= tol on the round that completes
-    ``persist``. So both policies reach the same decisions, bit for bit.
+    enclosure (lo, hi) of that residual (lo == hi if exact) which may check
+    the unmapped state, cannot decide: lo <= tol < hi, or hi <= tol on the
+    round that completes ``persist``. So both policies reach the same
+    decisions, bit for bit.
     ``zsum``, when given, returns the conserved mass total, which must stay
     at F(1) in every round. ``record`` chooses the rounds that keep a row
     (positions, coverage as half the largest boundary-doubled gap of their

@@ -133,6 +133,8 @@ def test_initial_position_modes():
 
     with pytest.raises(DomainError):
         initial_positions("nonsense", 4)
+    with pytest.raises(DomainError, match="unknown law 'bogus'"):
+        initial_positions("all-one", 4, law="bogus")   # was the static start
     with pytest.raises(DomainError):
         initial_positions("random", 4)  # needs a generator
     for mode in INIT_MODES:

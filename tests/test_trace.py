@@ -133,6 +133,15 @@ def test_stop_rule_refuses_a_persist_below_one(persist):
         StopRule(persist=persist)
 
 
+@pytest.mark.parametrize("field", ["max_rounds", "persist"])
+def test_stop_rule_refuses_a_count_that_is_not_an_integer(field):
+    # 2.5 rounds failed mid-run with TypeError, and persist=1.5 acted as 2
+    for value in (2.5, 1.5, 3.0, "3"):
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
+            StopRule(**{field: value})
+    assert getattr(StopRule(**{field: np.int64(3)}), field) == 3   # numpy integers are counts
+
+
 @pytest.mark.parametrize("record", ["full", "summary"])
 def test_check_record(record):
     assert check_record(record) == record
@@ -192,8 +201,9 @@ def test_sweep_rows_record_one_row_per_run(uniform_field, monkeypatch):
        persist=st.sampled_from([None, 1, 2]))
 def test_dynamic_summary_stops_where_full_stops(kind, seed, n, data, variant, rule, start,
                                                  churn, pick, ulps, persist):
-    # summary rounds are decided by the enclosure, mapped rounds by the exact
-    # residual; the run must stop like a full run, whose every round is mapped
+    # summary rounds are decided by the carried squares' exact residual,
+    # mapped rounds by the loop's own; the run must stop like a full run,
+    # whose every round is mapped
     field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
     big_u = data.draw(st.integers(n, 2 * n), label="big_u")
     x0 = initial_positions(start, n, StreamRng(seed, n, 0), law="dynamic")
