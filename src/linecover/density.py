@@ -381,7 +381,9 @@ def coverage(field: DensityField, positions) -> float:
 
 
 def check_agent_count(n: int, n_min: int = 1) -> int:
-    """n, if n_min <= n <= MAX_AGENTS; DomainError otherwise."""
+    """n as an int, if it is an integer with n_min <= n <= MAX_AGENTS;
+    DomainError otherwise."""
+    n = check_integer(n, "the agent count n")
     if not n_min <= n <= MAX_AGENTS:
         raise DomainError(f"need {n_min} to {MAX_AGENTS} agents, got n = {n}")
     return n

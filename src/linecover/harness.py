@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lifted_chain, static_law
-from .density import DensityField, check_agent_count, gap_vector
+from .density import DensityField, check_agent_count, check_integer, gap_vector
 from .errors import DomainError, NumericError
 from .lifted_chain import run_dynamic
 from .rng import StreamRng
@@ -207,12 +207,12 @@ def sweep(law: str, field: DensityField, n_list, runs: int, init_mode: str,
     completion order. The runs of one n are one :func:`run_one` call with
     ``options``; ``workers`` processes share out the agent counts.
     """
-    if runs < 1:
+    if check_integer(runs, "runs") < 1:
         raise DomainError("runs must be at least 1")
-    if workers < 1:
+    if check_integer(workers, "workers") < 1:
         raise DomainError("workers must be at least 1")
     n_min = _MIN_AGENTS.get(law, 1)
-    n_list = [check_agent_count(int(n), n_min) for n in n_list]   # all, before any cell runs
+    n_list = [check_agent_count(n, n_min) for n in n_list]   # all, before any cell runs
     if len(set(n_list)) < 2:
         raise DomainError("a sweep needs at least two distinct agent counts to fit")
     row = partial(_sweep_row, law, field, init_mode, seed, runs, tol, max_rounds, options)

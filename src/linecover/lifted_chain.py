@@ -38,13 +38,8 @@ target is z_j + z_j' under the ``pair`` rule and z_{(j-1)'} + z_j under the
 ``split`` rule; only the latter has the optimal configuration as its fixed
 point under the uniformized chain.
 
-A round writes and checks only the moved window W (the token holder and
-the agents it pushes). Rounds :func:`linecover.trace.run_rounds` does not
-map are decided by :func:`simulate_dynamic`'s exact residual fl(sum e) of
-the carried e_i = fl((x_i - x*_i)^2), rewritten over W (all of e after a
-round it did not see). IEEE arithmetic rounds each e_i alike wherever it is
-computed, and numpy's pairwise sum depends only on the values and their
-order: the sum is the loop's residual, bit for bit.
+A round writes and checks only the moved window (the token holder and the
+agents it pushes), and its stop hook returns the residual itself.
 """
 
 from __future__ import annotations
@@ -156,7 +151,7 @@ class DynamicState:
 
 def build_chain(n: int, big_u: int, variant: str = "uniformized") -> LiftedChain:
     """Build the 2n-state chain for n agents and round-trip estimate U."""
-    check_agent_count(check_integer(n, "the agent count n"), MIN_AGENTS)
+    check_agent_count(n, MIN_AGENTS)
     if check_integer(big_u, "the round-trip estimate U") < 3:
         raise DomainError("the round-trip estimate U must be at least 3")
     if variant not in VARIANTS:
@@ -435,36 +430,21 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     call, so churn scenarios can resume a state. An unset ``persist`` is
     one token cycle of U rounds, since one agent moves per round. A batch
     state runs under ``summary`` only and gives a TraceBatch, one trace per row.
+    The stop hook is the residual in the round loop's own expression, so of
+    the rounds it decides, the loop maps exactly those at or below tol.
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
     if state.positions.ndim == 2:
         return _simulate_rows(field, state, stop, record)
-    n, big_u = state.n, state.chain.big_u
-    squares, seen = None, -2   # fl((x_i - x*_i)^2) per agent, and the round they describe
 
     def step(x, y):
         step_round(field, state)
         return state.positions, state.masses
 
-    def residual(y, xstar):
-        nonlocal squares, seen
-        x, r = state.positions, state.round_index
-        j = token_index(r, big_u)
-        if r != seen + 1:   # a round the hook did not see
-            squares = np.square(x - xstar)
-        elif j < n and x[j] == x[j - 1]:   # maybe a push: the window shares x_j's position
-            w = slice(j - 1, j + int(x[j:].searchsorted(x[j - 1], "right")))
-            squares[w] = np.square(x[w] - xstar[w])
-        elif j <= n:
-            d = float(x[j - 1] - xstar[j - 1])
-            squares[j - 1] = d * d
-        seen = r
-        s = float(squares.sum())   # the loop's residual, bit for bit (module docstring)
-        return s, s
-
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
-                      t=state.round_index, zsum=lambda: state.zsum, bound=residual,
+                      t=state.round_index, zsum=lambda: state.zsum,
+                      bound=lambda y, xstar: float(np.square(state.positions - xstar).sum()),
                       record=record)
 
 

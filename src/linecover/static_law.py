@@ -16,8 +16,8 @@ A run carries y alone, advanced once a round by :func:`_advance`; positions
 are a view of that round's y, the running maximum of F^-1(y), mapped by
 :func:`static_step` only at recorded rows, the final round, and when this
 lower bound on the residual reaches tol; the stop hook checks y's order and
-returns (this bound, inf). If rho <= P
-on [a, b], breakpoints and zeros of rho included, |F(a) - F(b)| <= P |a - b|.
+returns this bound. If rho <= P on [a, b], breakpoints and zeros of rho
+included, |F(a) - F(b)| <= P |a - b|.
 :meth:`DensityField.rho_near` bounds rho by P_i on the knot cells that hold
 the mass h_i around y*_i, and rho <= rho_max beyond them, so an agent
 d_i = |y_i - y*_i| off its optimal mass lies at least
@@ -83,6 +83,6 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
             raise NumericError("agent masses left order or [0, F(1)]")
         d = np.abs(y - ystar) / rho_max   # in units of rho_max, so that no scale overflows
         d += rise * np.minimum(d, reach)
-        return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink, np.inf
+        return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink
 
     return run_rounds(field, x, field.cdf(x), step, stop, bound=bound, record=record)

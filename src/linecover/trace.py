@@ -123,11 +123,10 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
     both laws, so the criterion is computable online) and the trace's
     ``settled_round``. A mapped round reads x, checks that it is ordered
     inside [0, 1] and computes that residual: the entry round, recorded
-    rows, the final round, and rounds that ``bound(y, x*)``, a certified
-    enclosure (lo, hi) of that residual (lo == hi if exact) which may check
-    the unmapped state, cannot decide: lo <= tol < hi, or hi <= tol on the
-    round that completes ``persist``. So both policies reach the same
-    decisions, bit for bit.
+    rows, the final round, and every round that ``bound(y, x*)``, a
+    certified lower bound on that residual which may check the unmapped
+    state, does not place above tol. A round the bound places above tol
+    settles unmapped, so both policies reach the same decisions, bit for bit.
     ``zsum``, when given, returns the conserved mass total, which must stay
     at F(1) in every round. ``record`` chooses the rounds that keep a row
     (positions, coverage as half the largest boundary-doubled gap of their
@@ -150,11 +149,10 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray,
             mass = zsum()
             check_mass(mass, total, t + k)
         if k and not (every_round or k == stop.max_rounds):
-            lo, hi = bound(y, xstar)
-            if tol is None or lo > tol:
+            lower = bound(y, xstar)   # called even without tol: it may check the state
+            if tol is None or lower > tol:
                 settled = t + k + 1   # the round is above tol
-            if settled == t + k + 1 or hi <= tol and t + k + 1 - settled < persist:
-                x, y = step(x, y)   # above tol, or below it and not the stop round
+                x, y = step(x, y)
                 continue
         x, fx = (x(), None) if callable(x) else (x, y)   # fx: masses of x, unknown for a view
         check_order(x, t + k)

@@ -341,3 +341,29 @@ def test_sweep_rejects_fewer_than_one_worker(uniform_field, workers):
     with pytest.raises(DomainError, match="workers"):
         sweep("static", uniform_field, [4, 6], runs=1, init_mode="random", seed=1,
               workers=workers)
+
+
+@pytest.mark.parametrize("call", [
+    lambda field, n: initial_positions("random", n, StreamRng(1, 4, 0)),
+    lambda field, n: initial_positions("all-one", n),
+    lambda field, n: optimal_configuration(field, n),
+], ids=["random", "all-one", "optimum"])
+def test_agent_counts_must_be_integers(uniform_field, call):
+    # a float n used to run (random start, optimum) or fail in numpy (all-one)
+    with pytest.raises(DomainError, match="agent count n must be an integer"):
+        call(uniform_field, 4.0)
+    call(uniform_field, np.int64(4))   # a numpy integer stays accepted
+
+
+def test_sweep_refuses_a_fractional_agent_count(uniform_field):
+    # int(10.7) used to run n = 10
+    with pytest.raises(DomainError, match="agent count n must be an integer"):
+        sweep("dynamic", uniform_field, [10.7, 20], runs=1, init_mode="random", seed=1)
+
+
+@pytest.mark.parametrize("option", [{"runs": 2.5}, {"workers": 1.5}])
+def test_sweep_refuses_fractional_runs_and_workers(uniform_field, option):
+    # used to raise a raw TypeError
+    kwargs = {"runs": 1, **option}
+    with pytest.raises(DomainError, match=f"{next(iter(option))} must be an integer"):
+        sweep("static", uniform_field, [4, 6], init_mode="random", seed=1, **kwargs)

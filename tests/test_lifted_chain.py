@@ -3,7 +3,6 @@
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from linecover import (
     step_round,
     token_index,
 )
-from linecover import lifted_chain
 from linecover.harness import INIT_MODES
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
 
@@ -722,39 +720,8 @@ def test_spreading_floor_small_range():
 
 
 # ----------------------------------------------------------------------
-# the exact residual of unmapped summary rounds
+# unmapped summary rounds: the move checks its own window
 # ----------------------------------------------------------------------
-
-def dynamic_loop_parts(field, state):
-    """The step and residual hook that ``simulate_dynamic`` hands the round loop."""
-    with mock.patch.object(lifted_chain, "run_rounds", lambda *args, **kw: (args, kw)):
-        (_, _, _, step, _), kw = simulate_dynamic(field, state, StopRule(tol=1e-4))
-    return step, kw["bound"]
-
-
-@settings(max_examples=200)
-@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
-       n=st.integers(3, 300), data=st.data(), variant=st.sampled_from(VARIANTS),
-       rule=st.sampled_from(MOVEMENT_RULES), start=st.sampled_from(INIT_MODES))
-def test_hook_returns_the_residual_the_loop_computes(kind, seed, n, data, variant, rule,
-                                                     start):
-    # all-one and all-zero starts push long runs of agents in their first cycles
-    field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
-    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
-    x0 = initial_positions(start, n, StreamRng(seed, n, 0), law="dynamic")
-    state = initialize_state(field, x0, big_u=big_u, variant=variant, movement_rule=rule)
-    step, hook = dynamic_loop_parts(field, state)
-    xstar = optimal_configuration(field, n)[0]
-    skips = StreamRng(seed, n, 2)   # a mapped round skips the hook
-    x, y = state.positions, state.masses
-    for _ in range(4 * big_u):
-        x, y = step(x, y)
-        if skips.uniform() < 0.05:
-            continue
-        lo, hi = hook(y, xstar)
-        residual = float(np.square(x - xstar).sum())
-        assert lo.hex() == residual.hex() == hi.hex()
-
 
 def test_one_ulp_guard_keeps_order_in_unmapped_rounds(quadratic_field):
     # F^-1(F(x)) < x by an ulp at some x: an agent whose target mass is 0

@@ -291,8 +291,9 @@ def test_stop_bound_never_exceeds_the_residual_of_the_view(field, n, start, seed
     for _ in range(80):
         view, y = step(x, y)
         x = view()
-        lo, hi = bound(y, xstar)
-        assert lo <= float(np.square(x - xstar).sum()) <= hi
+        lower = bound(y, xstar)
+        assert isinstance(lower, float)
+        assert lower <= float(np.square(x - xstar).sum())
 
 
 def reference_run(field, x0, stop):
@@ -347,41 +348,10 @@ def test_loop_maps_when_the_bound_equals_tol(monkeypatch, quadratic_field):
     full = run_static(quadratic_field, x0, stop)
     real = static_law.run_rounds
     monkeypatch.setattr(static_law, "run_rounds", lambda *args, bound, **kw: real(
-        *args, bound=lambda y, xstar: (stop.tol, np.inf), **kw))
+        *args, bound=lambda y, xstar: stop.tol, **kw))
     summary = run_static(quadratic_field, x0, stop, record="summary")
     assert (summary.final_round, summary.stop_reason) == (full.final_round, "tol")
     assert summary.rows[0].positions.tobytes() == full.rows[-1].positions.tobytes()
-
-
-@pytest.mark.parametrize("hi_over_tol", [False, True])
-def test_loop_settles_below_tol_unmapped_only_when_hi_is_at_most_tol(monkeypatch, quadratic_field,
-                                                                      hi_over_tol):
-    # an exact enclosure, except that below tol it claims (0, tol): each such
-    # round but the stop round settles unmapped; with hi one ulp over tol it
-    # decides nothing, so every round below tol is mapped
-    x0 = initial_positions("all-one", 12)
-    stop = StopRule(tol=1e-4, persist=5)
-    full = run_static(quadratic_field, x0, stop)
-    hi = float(np.nextafter(stop.tol, np.inf)) if hi_over_tol else stop.tol
-
-    def enclosure(y, xstar):
-        view = np.maximum.accumulate(quadratic_field.inverse_cdf(y))
-        residual = float(np.square(view - xstar).sum())
-        return (residual, np.inf) if residual > stop.tol else (0.0, hi)
-
-    maps = []
-    real_step, real_rounds = static_law.static_step, static_law.run_rounds
-    monkeypatch.setattr(static_law, "static_step",
-                        lambda *args: maps.append(1) or real_step(*args))
-    monkeypatch.setattr(static_law, "run_rounds",
-                        lambda *args, bound, **kw: real_rounds(*args, bound=enclosure, **kw))
-    summary = run_static(quadratic_field, x0, stop, record="summary")
-    assert ((summary.final_round, summary.stop_reason, summary.settled_round)
-            == (full.final_round, full.stop_reason, full.settled_round))
-    assert summary.rows[0].positions.tobytes() == full.rows[-1].positions.tobytes()
-    below = sum(row.residual_sq <= stop.tol for row in full.rows)
-    assert below >= stop.persist
-    assert len(maps) == (below if hi_over_tol else 1)
 
 
 def test_a_full_static_round_runs_the_stencil_once(monkeypatch, quadratic_field):

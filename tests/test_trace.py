@@ -1,12 +1,15 @@
 """Recording policies of the shared round loop: which rows a run keeps, and
 that everything read from a run is the same under either policy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecover.harness
+import linecover.trace
 from linecover import (
     DomainError,
     NumericError,
@@ -201,9 +204,8 @@ def test_sweep_rows_record_one_row_per_run(uniform_field, monkeypatch):
        persist=st.sampled_from([None, 1, 2]))
 def test_dynamic_summary_stops_where_full_stops(kind, seed, n, data, variant, rule, start,
                                                  churn, pick, ulps, persist):
-    # summary rounds are decided by the carried squares' exact residual,
-    # mapped rounds by the loop's own; the run must stop like a full run,
-    # whose every round is mapped
+    # the stop hook returns the residual in the loop's own expression: the
+    # run must stop like a full run, whose every round is mapped
     field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
     big_u = data.draw(st.integers(n, 2 * n), label="big_u")
     x0 = initial_positions(start, n, StreamRng(seed, n, 0), law="dynamic")
@@ -226,6 +228,29 @@ def test_dynamic_summary_stops_where_full_stops(kind, seed, n, data, variant, ru
     full, summary = run(stop, "full"), run(stop, "summary")
     assert stop_of(summary) == stop_of(full)
     assert same_row(summary.rows[-1], full.rows[-1])
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["uniform", "quadratic"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 40), pick=st.integers(0, 200), persist=st.sampled_from([None, 2, 5]))
+def test_dynamic_summary_maps_its_entry_its_rounds_below_tol_and_its_final_round(
+        kind, seed, n, pick, persist):
+    # the hook is the residual itself, so a round at or below tol is mapped
+    # and every other round but the entry and final ones settles unmapped
+    field = resolve_density(kind)
+    x0 = initial_positions("random", n, StreamRng(seed, n, 0), law="dynamic")
+    free = run_one("dynamic", field, x0, StopRule(tol=None, max_rounds=200))
+    stop = StopRule(tol=max(free.rows[pick].residual_sq, 1e-300), max_rounds=200,
+                    persist=persist)
+    full = run_one("dynamic", field, x0, stop)
+    maps, real = [], linecover.trace.check_order
+    with mock.patch.object(linecover.trace, "check_order",
+                           lambda x, t: maps.append(t) or real(x, t)):
+        summary = run_one("dynamic", field, x0, stop, record="summary")
+    assert stop_of(summary) == stop_of(full)
+    assert same_row(summary.rows[-1], full.rows[-1])
+    below = [row.t for row in full.rows if row.residual_sq <= stop.tol]
+    assert maps == sorted({full.rows[0].t, *below, full.final_round})
 
 
 @pytest.mark.parametrize("record", ["full", "summary"])
