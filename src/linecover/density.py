@@ -40,12 +40,12 @@ _NEWTON_ULPS = 4.5e-16    # relative Newton step at which the inverse stops
 _KNOT_CELLS = 256         # equal cells per segment in the inverse's start table
 # The largest array that cdf and inverse_cdf map element by element on the
 # scalar path. Below it, numpy call overhead dominates the vector path, which
-# costs about 40-65 and 145-340 us per inverse_cdf call on the uniform and
-# quadratic presets whatever the size, and 15-30 us per cdf call. A loop of
+# costs about 40-85 and 55-120 us per inverse_cdf call on the uniform and
+# quadratic presets whatever the size, and 12-30 us per cdf call. A loop of
 # scalar calls becomes the dearer of the two (best of 15 x 100 calls, shared
-# 2-CPU x86-64 host, Python 3.11) near 32-36 masses on the uniform preset,
-# 48-56 on the quadratic one and 32-48 on a degree-4 random field for
-# inverse_cdf, and near 24-40 points for cdf.
+# 2-CPU x86-64 host, Python 3.11) near 40 masses on the uniform preset,
+# 36-44 on the quadratic one and 36-40 on a degree-4 random field for
+# inverse_cdf, and near 20-40 points for cdf.
 _SCALAR_MAX = 32
 # Each segment's largest coefficient lies in [2^-990, 2^1010]. Scaled by 2^k,
 # both presets and 300 random degree-4 fields at n = 40 gave the same optimal
@@ -120,8 +120,9 @@ class DensityField:
 
     Construction also tabulates ``_KNOT_CELLS`` equal cells per segment: the
     knots x_k (every breakpoint among them), their masses F_k = F(x_k),
-    evaluated by ``cdf`` itself, and each cell's largest density.
-    ``inverse_cdf`` starts inside the knot cell that holds its mass.
+    evaluated by ``cdf`` itself, each cell's largest density, and the start
+    correction (a, a + b) and Newton constant K of ``inverse_cdf``, which
+    starts inside the knot cell that holds its mass.
     """
 
     def __init__(self, breakpoints, coefficients, name: str = "custom"):
@@ -167,9 +168,10 @@ class DensityField:
         # cdf computes it (F_k from cdf below: inverse_cdf(cdf(x_k)) is every knot).
         cells = np.arange(_KNOT_CELLS) / _KNOT_CELLS
         knot_x = np.append((bp[:-1, None] + np.diff(bp)[:, None] * cells).ravel(), 1.0)
-        ends = (knot_x[s].reshape(m, -1) - bp[:-1, None] for s in (slice(-1), slice(1, None)))
-        cell_lo, cell_hi = np.array([_poly_extrema(*cell) for cell in zip(
-            rho_rows, *ends)]).transpose(1, 0, 2)
+        ends = [knot_x[s].reshape(m, -1) - bp[:-1, None] for s in (slice(-1), slice(1, None))]
+        slope_rows = np.polynomial.polynomial.polyder(rho_rows, axis=1)    # rho' in t
+        (cell_lo, cell_hi), (slope_lo, slope_hi) = (np.array([_poly_extrema(*cell) for cell in zip(
+            rows, *ends)]).transpose(1, 0, 2) for rows in (rho_rows, slope_rows))
         seg_lo = cell_lo.min(axis=1)
         neg_tol = -_NEG_TOL * np.maximum(1.0, np.abs(rho_rows).max(axis=1))
         for j in range(m):
@@ -195,6 +197,16 @@ class DensityField:
         self._knot_x_list = self._knot_x.tolist()
         self._knot_f_list = self._knot_f.tolist()
         self._cell_max = cell_hi.ravel()
+        # Per cell, the start correction (a, a + b) and K of inverse_cdf
+        h, mass = (np.diff(v).reshape(m, -1) for v in (knot_x, self._knot_f))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d0, d1 = (mass / (h * _poly_eval(rho_rows.T[..., None], t)) for t in ends)
+            newton_k = np.where(cell_lo > 0.0, np.maximum(-slope_lo, slope_hi) / (2.0 * cell_lo),
+                                np.inf)
+        bent = (newton_k > 0.0) & (d0 * d0 + d1 * d1 <= 9.0)
+        a, b = (np.where(bent, d - 1.0, 0.0) for d in (d0, d1))
+        self._cells = np.stack([a, a + b, newton_k]).reshape(3, -1)
+        self._cell_list = self._cells.T.tolist()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -229,20 +241,29 @@ class DensityField:
         Recipes*) inside the knot cell x_k <= x <= x_{k+1} of the table built
         at construction, found by one binary search of m among the knot
         masses F_k. A mass equal to a knot's F_k returns that knot, so every
-        breakpoint is returned exactly. Otherwise the iteration starts from
-        linear interpolation of the mass within the cell,
-
-            x = x_k + (x_{k+1} - x_k) (m - F_k) / (F_{k+1} - F_k),
-
-        which is exact where rho is constant, and the cell is the starting
-        bracket [lo, hi]. Each pass evaluates g = A_j(x - b_j) - m from the
-        antiderivative of the cell's segment j, and stops, keeping x, as soon
-        as g == 0 or the Newton step g / rho_j(x - b_j) would move x by at
-        most ``_NEWTON_ULPS`` |x| (a few ulps); otherwise x narrows the
-        bracket and the pass stops if it has collapsed. The next x is the
-        Newton point, or the bracket midpoint when that point leaves the
-        bracket or the step is longer than half the previous one. On a
-        polynomial density a call typically needs 3 or 4 passes, at most 120.
+        breakpoint is returned exactly. Otherwise the cell is the starting
+        bracket [lo, hi], and the start, with u = (m - F_k) / (F_{k+1} - F_k)
+        and w = (x_{k+1} - x_k) u, is x = x_k + w + w (1 - u) (a - (a + b) u):
+        the cubic Hermite interpolant of F^-1 with slopes 1 / rho at the
+        cell's ends, where a + 1 and b + 1 are the cell's mean density over
+        rho at its left and right end. a = b = 0, the linear interpolation,
+        on degree-0 segments and where (a + 1)^2 + (b + 1)^2 > 9, so that the
+        cubic stays in the cell (Fritsch & Carlson, 1980). Each pass evaluates
+        g = A_j(x - b_j) - m and s = g / rho_j(x - b_j) on the cell's segment
+        j, and stops, keeping x, as soon as g == 0 or the Newton point
+        x' = x - s lies within ``_NEWTON_ULPS`` |x| (a few ulps) of x. It
+        returns x' when x' lies inside the bracket, K|s| <= 1/4 and
+        4 K s s <= ``_NEWTON_ULPS`` |x'|, where K = max |rho'| / (2 min rho)
+        on the cell (infinite if min rho = 0). For the root r and e = x - r,
+        g = rho(c) e with c between x and r, so |e| rho(c) = |s| rho(x) <=
+        |s| (rho(c) + max |rho'| |e|), |e| (1 - 2K|s|) <= |s| and |e| <= 2|s|;
+        Taylor's theorem then gives |x' - r| <= K e^2 <= 4 K s s (Ortega &
+        Rheinboldt, 1970, 12.6), up to the roundoff of g over rho. Otherwise
+        x narrows the bracket and the pass stops if it has collapsed. The
+        next x is the Newton point, or the bracket midpoint when that point
+        leaves the bracket or the step is longer than half the previous one.
+        On the quadratic preset a call takes 1.006 passes per mass on the
+        scalar path and 1 or 2 per array on the vector path, at most 120.
         A scalar m and an array of at most ``_SCALAR_MAX`` masses take the
         scalar path, a larger array the vector path. Both follow this one rule
         in the same floating-point operations, so they return the same bits.
@@ -261,8 +282,11 @@ class DensityField:
         lo, hi = self._knot_x[k], self._knot_x[k + 1]
         c_lo, c_hi = self._knot_f[k], self._knot_f[k + 1]
         arows, rrows, left = self._anti_rows[j].T, self._rho_rows[j].T, self.breakpoints[j]
+        a, ab, kk = self._cells[:, k]
 
-        x = lo + (hi - lo) * (m - c_lo) / (c_hi - c_lo)
+        dm, dc = m - c_lo, c_hi - c_lo
+        u, w = dm / dc, (hi - lo) * dm / dc
+        x = lo + (w + w * (1.0 - u) * (a - ab * u))
         step_prev = hi - lo
         at_left = m == c_lo
         at_right = m == c_hi
@@ -273,8 +297,15 @@ class DensityField:
                 t = x - left
                 g = _poly_eval(arows, t) - m
                 der = _poly_eval(rrows, t)
-                newton = x - g / der
+                s = g / der
+                newton = x - s
                 done |= (g == 0.0) | (np.abs(newton - x) <= _NEWTON_ULPS * np.abs(x))
+                if np.all(done):
+                    break
+                sure = (~done & (newton > lo) & (newton < hi) & (kk * np.abs(s) <= 0.25)
+                        & (4.0 * kk * (s * s) <= _NEWTON_ULPS * np.abs(newton)))
+                x = np.where(sure, newton, x)
+                done |= sure
                 if np.all(done):
                     break
 
@@ -314,17 +345,24 @@ class DensityField:
             return hi
         j = k // _KNOT_CELLS
         arow, rrow, left = self._anti_list[j], self._rho_list[j], self._left_list[j]
+        a, ab, kk = self._cell_list[k]
 
-        x = lo + (hi - lo) * (m - c_lo) / (c_hi - c_lo)
+        dm, dc = m - c_lo, c_hi - c_lo
+        u, w = dm / dc, (hi - lo) * dm / dc
+        x = lo + (w + w * (1.0 - u) * (a - ab * u))
         step_prev = hi - lo
         for _ in range(120):
             g = _poly_eval(arow, x - left) - m
             if g == 0.0:
                 break
             der = _poly_eval(rrow, x - left)
-            newton = x - g / der if der != 0.0 else math.inf
+            s = g / der if der != 0.0 else math.inf
+            newton = x - s
             if abs(newton - x) <= _NEWTON_ULPS * abs(x):
                 break
+            if (lo < newton < hi and kk * abs(s) <= 0.25
+                    and 4.0 * kk * (s * s) <= _NEWTON_ULPS * abs(newton)):
+                return newton
             if g > 0.0:
                 hi = x
             else:
