@@ -11,6 +11,7 @@ directory comes from the LINECOVER_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -294,6 +295,7 @@ def _add_common_run_flags(sub) -> None:
     sub.add_argument("--out-dir", dest="out_dir")
 
 
+@functools.cache   # built once per process: each add_argument reads the terminal size
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="linecover",

@@ -395,11 +395,12 @@ def check_positions(positions, n_min: int = 1, *, rows: bool = False) -> np.ndar
 
 
 def mass_gaps(masses: np.ndarray, total: float) -> np.ndarray:
-    """Boundary-doubled gaps (2 y_1, y_2 - y_1, ..., 2 (total - y_n)) of masses y."""
-    d = np.empty(masses.size + 1)
-    d[0] = 2.0 * masses[0]
-    np.subtract(masses[1:], masses[:-1], out=d[1:-1])
-    d[-1] = 2.0 * (total - masses[-1])
+    """Boundary-doubled gaps (2 y_1, y_2 - y_1, ..., 2 (total - y_n)) of masses y, row by row."""
+    d = np.empty(masses.shape[:-1] + (masses.shape[-1] + 1,))
+    y, dt = masses.T, d.T   # indexed by agent, in one row or in each row of a stack
+    dt[0] = 2.0 * y[0]
+    np.subtract(y[1:], y[:-1], out=dt[1:-1])
+    dt[-1] = 2.0 * (total - y[-1])
     return d
 
 

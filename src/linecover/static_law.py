@@ -13,11 +13,11 @@ evolves as d(t+1) = (I + U/6) d(t) with the tridiagonal stencil built in
 which is exactly the optimality condition of the balanced configuration.
 
 A run carries y alone, advanced once a round by :func:`_advance`; positions
-are a view of that round's y, the running maximum of F^-1(y), mapped by
-:func:`static_step` only at recorded rows, the final round, and when this
-lower bound on the residual reaches tol; the stop hook checks y's order and
-returns this bound. If rho <= P on [a, b], breakpoints and zeros of rho
-included, |F(a) - F(b)| <= P |a - b|.
+are a view of y, the running maximum of F^-1(y), mapped by :func:`static_step`
+alone at the final round and where this lower bound on the residual reaches
+tol, and in blocks of rounds for a full trace's other rows; the stop hook
+checks y's order and returns this bound. If rho <= P on [a, b], breakpoints
+and zeros of rho included, |F(a) - F(b)| <= P |a - b|.
 :meth:`DensityField.rho_near` bounds rho by P_i on the knot cells that hold
 the mass h_i around y*_i, and rho <= rho_max beyond them, so an agent
 d_i = |y_i - y*_i| off its optimal mass lies at least
@@ -53,11 +53,11 @@ def _advance(y: np.ndarray, total: float) -> np.ndarray:
 
 def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
     """One simultaneous median update of the agents at ``positions``; or the
-    positions of ``masses``, when given: a round's advanced masses."""
+    positions of ``masses``, when given: a round's advanced masses, or rows of them."""
     if masses is None:
         x = check_positions(positions, n_min=MIN_AGENTS)
         masses = _advance(field.cdf(x), field.total_mass)
-    return np.maximum.accumulate(field.inverse_cdf(masses))
+    return np.maximum.accumulate(field.inverse_cdf(masses), axis=-1)
 
 
 def run_static(field: DensityField, positions0, stop: StopRule, *,
@@ -75,10 +75,6 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
     # under a certified bound, so no output depends on those bits
     cut, shrink = 2.0 ** -40 * float(slope @ slope) ** 0.5, 1.0 - (n + 8) * 2.0 ** -52
 
-    def step(x, y):
-        y = _advance(y, total)
-        return (lambda: static_step(field, None, y)), y
-
     def bound(y, xstar):
         if not (y[0] >= 0.0 and y[-1] <= total and (y[1:] >= y[:-1]).all()):
             raise NumericError("agent masses left order or [0, F(1)]")
@@ -86,4 +82,5 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
         d += rise * np.minimum(d, reach)
         return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink
 
-    return run_rounds(field, x, field.cdf(x), step, stop, bound=bound, record=record)
+    return run_rounds(field, x, field.cdf(x), lambda x, y: (None, _advance(y, total)), stop,
+                      bound=bound, view=lambda ys: static_step(field, None, ys), record=record)

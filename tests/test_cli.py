@@ -389,7 +389,7 @@ def test_ordering_fault_inside_a_run_is_numeric(capsys, tmp_path, monkeypatch, l
     def swapping(*args):
         out = real(*args)
         x = out if law == "static" else out.positions
-        x[[0, -1]] = x[[-1, 0]]
+        x[..., [0, -1]] = x[..., [-1, 0]]   # in every round of a block of static rounds
         return out
 
     monkeypatch.setattr(module, name, swapping)
@@ -769,6 +769,58 @@ def test_simulate_record_summary_writes_the_final_row(capsys, tmp_path, law):
     assert rounds == list(range(41))
     assert (tmp_path / "summary" / "simulate_trace.csv").read_bytes() == b"".join(
         [lines[0], lines[-1]])
+
+
+# breakpoints 0, 0.99, 1 with rho = 1 + 1e9 (x - 0.995)^4 expanded in x on
+# [0.99, 1], where F once lost 7 digits to cancelling terms
+NARROW_DENSITY = {"breakpoints": [0.0, 0.99, 1.0], "coefficients": [
+    [1.0], [980149501.625, -3940299500.0, 5940150000.0, -3980000000.0, 1000000000.0]]}
+
+
+@pytest.mark.parametrize("density, init", [("quadratic", "random"), ("narrow", "all-one")])
+def test_static_full_and_summary_runs_end_on_the_same_row(capsys, tmp_path, density, init):
+    # a static run carries the masses y and maps positions only where they
+    # are read, a full one in blocks of rounds: at n = 40, which maps a lone
+    # round on the vector path, both policies must reach tol at the same
+    # round, and the summary trace's one data row must be the full trace's
+    # last row byte for byte
+    if density == "narrow":
+        density = tmp_path / "narrow_density.json"
+        density.write_text(json.dumps(NARROW_DENSITY))
+    runs, lines = {}, {}
+    for record in ("full", "summary"):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--law", "static", "--density", str(density), "--init", init,
+            "--n", "40", "--record", record, "--out-dir", str(tmp_path), "--prefix", record])
+        assert code == 0, err
+        runs[record] = json.loads(out)
+        lines[record] = Path(runs[record]["trace_csv"]).read_bytes().splitlines(True)
+    assert [(s["stop_reason"], s["rounds"]) for s in runs.values()] == [
+        ("tol", runs["full"]["rounds"])] * 2
+    assert len(lines["full"]) == runs["full"]["rounds"] + 2
+    assert lines["summary"] == [lines["full"][0], lines["full"][-1]]
+
+
+def test_one_process_reuses_its_parser(capsys, tmp_path):
+    # the parser is built once per process: a malformed flag and another
+    # command in between must leave a repeated simulate byte-identical
+    simulate = ["simulate", "--law", "static", "--density", "quadratic", "--n", "6",
+                "--out-dir", str(tmp_path / "simulate")]
+
+    def outputs():
+        code, out, err = run_cli(capsys, simulate)
+        assert (code, err) == (0, "")
+        return out, {p.name: p.read_bytes() for p in (tmp_path / "simulate").iterdir()}
+
+    first = outputs()
+    code, out, err = run_cli(capsys, ["simulate", "--n", "x"])
+    assert (code, out) == (2, "")
+    assert [json.loads(line)["error"] for line in err.splitlines()] == ["usage"]
+    code, _, err = run_cli(capsys, ["chain", "--n", "5", "--big-u", "5",
+                                    "--out-dir", str(tmp_path / "chain")])
+    assert (code, err) == (0, "")
+    assert linecover.cli.build_parser() is linecover.cli.build_parser()
+    assert outputs() == first
 
 
 @pytest.mark.parametrize("record", ["every:0", "every:x", "bogus"])

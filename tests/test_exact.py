@@ -109,12 +109,12 @@ def test_static_run_tracks_the_exact_trajectory_in_mass_coordinates(data):
     n = data.draw(st.integers(3, 10), label="n")
     x0 = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n,
                                    unique=True), label="x0"))
-    with mock.patch.object(static_law, "run_rounds", lambda *args, **kw: args):
-        _, x, y, step, _ = run_static(field, x0, StopRule(tol=1e-4))
+    with mock.patch.object(static_law, "run_rounds", lambda *args, **kw: (args, kw)):
+        (_, x, y, step, _), kw = run_static(field, x0, StopRule(tol=1e-4))
     xe = [Fraction(v) for v in x0]
     for t in range(1, 61):
-        view, y = step(x, y)
-        x = view()
+        y = step(x, y)[1]
+        x = kw["view"](y[None])[0]
         xe = exact.static_step(exact_field, xe)
         assert exact.max_error(x, xe) <= C_X * (t + 1) * ULP
         assert exact.max_error(y, [exact_field.cdf(v) for v in xe]) <= C_X * (t + 1) * ULP

@@ -1,6 +1,7 @@
 """Median update law: step examples, gap dynamics, convergence, robustness."""
 
 from fractions import Fraction
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linecover.trace
 from linecover import (
     DensityField,
     DomainError,
@@ -249,11 +251,11 @@ def test_random_churn_keeps_order_and_reconverges(data):
 # ----------------------------------------------------------------------
 
 def loop_parts(field, x0):
-    """The validated start, its masses, and the step and bound that
+    """The validated start, its masses, and the step, bound and view that
     ``run_static`` hands the round loop."""
     with mock.patch.object(static_law, "run_rounds", lambda *args, **kw: (args, kw)):
         (_, x, y, step, _), kw = run_static(field, x0, StopRule(tol=1e-4))
-    return x, y, step, kw["bound"]
+    return x, y, step, kw["bound"], kw["view"]
 
 
 @st.composite
@@ -287,18 +289,20 @@ def test_stop_bound_never_exceeds_the_residual_of_the_view(field, n, start, seed
     else:
         x0 = initial_positions(start, n, StreamRng(seed, n))
     xstar = optimal_configuration(field, n)[0]
-    x, y, step, bound = loop_parts(field, x0)
+    x, y, step, bound, view = loop_parts(field, x0)
     for _ in range(80):
-        view, y = step(x, y)
-        x = view()
+        y = step(x, y)[1]
+        x = view(y[None])[0]
         lower = bound(y, xstar)
         assert isinstance(lower, float)
         assert lower <= float(np.square(x - xstar).sum())
 
 
-def reference_run(field, x0, stop):
+def reference_run(field, x0, stop, rows=None):
     """The static law with positions mapped every round: stop round, stop
-    reason, settled round and final row (positions, phi, residual)."""
+    reason, settled round and final row (positions, phi, residual); the
+    list ``rows``, when given, receives every row as (t, positions, phi,
+    residual)."""
     total = field.total_mass
     xstar = optimal_configuration(field, x0.size)[0]
     x, y = x0, field.cdf(x0)
@@ -307,6 +311,8 @@ def reference_run(field, x0, stop):
         residual = float(np.square(x - xstar).sum())
         held = held + 1 if residual <= stop.tol else 0
         settled = settled if held else k + 1
+        if rows is not None:
+            rows.append((k, x, float(gap_vector(field, x).max()) / 2.0, residual))
         if held >= (stop.persist or 1) or k == stop.max_rounds:
             phi = float(gap_vector(field, x).max()) / 2.0
             reason = "tol" if held >= (stop.persist or 1) else "max_rounds"
@@ -340,6 +346,35 @@ def test_runs_stop_like_a_loop_that_maps_every_round(field, n, start, seed, pick
     assert (row.positions.tobytes(), row.phi, row.residual_sq) == (x.tobytes(), phi, residual)
 
 
+@settings(max_examples=60)
+@given(field=st.one_of(fields_with_breakpoints_and_zeros(),
+                       narrow_segment_fields().map(lambda spec: DensityField(*spec))),
+       n=st.integers(2, 300), start=st.sampled_from(["random", "all-one"]),
+       seed=st.integers(0, 2**32 - 1), persist=st.sampled_from([None, 1, 3]))
+def test_every_full_row_equals_the_row_of_a_loop_that_maps_every_round(field, n, start, seed,
+                                                                        persist):
+    # a full run maps the rounds its bound settles in blocks of at least
+    # _BLOCK_MASSES masses, 1 to 1024 rounds here: each row must still be
+    # the one its round gives mapped on its own, wherever in a block the
+    # run stops. The seed spreads the run's length over up to three blocks
+    # and its stop round over the run.
+    per_block = -(-linecover.trace._BLOCK_MASSES // n)
+    rng = StreamRng(seed, n, 1)
+    max_rounds = rng.randint(1, 3 * per_block + 2)
+    x0 = initial_positions(start, n, StreamRng(seed, n))
+    free = run_static(field, x0, StopRule(tol=None, max_rounds=max_rounds))
+    # a tol just under the residual of round pick, as in the test above
+    residual = free.rows[rng.randint(0, max_rounds)].residual_sq
+    tol = float(np.nextafter(residual, 0.0)) if residual > 0.0 else 1e-300
+    stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+    rows = []
+    k, reason, settled, _ = reference_run(field, x0, stop, rows)
+    trace = run_static(field, x0, stop)
+    assert (trace.final_round, trace.stop_reason, trace.settled_round) == (k, reason, settled)
+    assert [(r.t, r.positions.tobytes(), r.phi, r.residual_sq) for r in trace.rows] == [
+        (t, x.tobytes(), phi, residual) for t, x, phi, residual in rows]
+
+
 def test_loop_maps_when_the_bound_equals_tol(monkeypatch, quadratic_field):
     # a bound of exactly tol settles nothing, so every round must be mapped
     # and the run must stop where a full run stops
@@ -355,8 +390,9 @@ def test_loop_maps_when_the_bound_equals_tol(monkeypatch, quadratic_field):
 
 
 def test_a_full_static_round_runs_the_stencil_once(monkeypatch, quadratic_field):
-    # the step advances y, and the view maps that same y through static_step:
-    # one stencil and one static_step call per round after the entry round
+    # the step advances y once a round; the view maps the rounds the bound
+    # settles in blocks of at least _BLOCK_MASSES masses and every other
+    # round after the entry round alone: one static_step call for each
     calls = {"_advance": 0, "static_step": 0}
 
     def counted(name):
@@ -365,9 +401,23 @@ def test_a_full_static_round_runs_the_stencil_once(monkeypatch, quadratic_field)
 
     for name in calls:
         monkeypatch.setattr(static_law, name, counted(name))
-    trace = run_static(quadratic_field, initial_positions("all-one", 12), StopRule(tol=1e-4))
-    assert trace.final_round > 1
-    assert calls == {"_advance": trace.final_round, "static_step": trace.final_round}
+    lowers, real = [], static_law.run_rounds
+    monkeypatch.setattr(static_law, "run_rounds", lambda *args, bound, **kw: real(
+        *args, bound=lambda y, xstar: lowers.append(bound(y, xstar)) or lowers[-1], **kw))
+    for n, stop in ((12, StopRule(tol=1e-4)), (80, StopRule(tol=1e-4, max_rounds=100))):
+        calls.update(_advance=0, static_step=0)
+        lowers.clear()
+        trace = run_static(quadratic_field, initial_positions("all-one", n), stop)
+        assert trace.final_round > 1
+        # the bound is asked from round 1 on, and the final round at max_rounds is not
+        settles = [lower > stop.tol for lower in lowers] + [False] * (
+            trace.final_round - len(lowers))
+        per_block = -(-linecover.trace._BLOCK_MASSES // n)
+        blocks = sum(-(-len(list(run)) // per_block) for settled, run in groupby(settles)
+                     if settled)
+        assert blocks >= 1 and settles.count(False) >= 1
+        assert calls == {"_advance": trace.final_round,
+                         "static_step": blocks + settles.count(False)}
 
 
 def test_unmapped_rounds_check_the_order_of_the_masses(monkeypatch, uniform_field):
@@ -384,3 +434,30 @@ def test_unmapped_rounds_check_the_order_of_the_masses(monkeypatch, uniform_fiel
     with pytest.raises(NumericError, match="masses left order"):
         run_static(uniform_field, initial_positions("all-one", 6), StopRule(tol=1e-12),
                    record="summary")
+
+
+@pytest.mark.parametrize("fault", ["nan", "swap"])
+@pytest.mark.parametrize("n, call, row", [(12, 0, 0), (12, 0, 37), (80, 1, 25), (80, 2, 3)])
+def test_a_fault_inside_a_block_names_its_round(monkeypatch, quadratic_field, fault, n, call,
+                                                row):
+    # positions that are NaN or out of order in one round of a block are an
+    # internal fault, named by that round; blocks of ceil(2048 / n) rounds
+    # start at round 1
+    real, calls = static_law.static_step, []
+
+    def faulty(*args):
+        out = real(*args)
+        calls.append(out.shape)
+        if len(calls) == call + 1 and fault == "swap":
+            out[row, [0, -1]] = out[row, [-1, 0]]
+        elif len(calls) == call + 1:
+            out[row, n // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(static_law, "static_step", faulty)
+    per_block = -(-linecover.trace._BLOCK_MASSES // n)
+    with pytest.raises(NumericError, match=f"^round {1 + call * per_block + row}: agent "
+                                           f"positions left order"):
+        run_static(quadratic_field, initial_positions("all-one", n),
+                   StopRule(tol=None, max_rounds=100))
+    assert len(calls) == call + 1 and calls[-1][0] > 1   # the fault was in a block
