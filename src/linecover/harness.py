@@ -152,8 +152,8 @@ def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
 
     An (R, n) stack of starts, allowed under ``summary`` only, runs R runs
     and gives a TraceBatch of their traces, one per row, each with the bits
-    its row's own run gives: the dynamic law steps the rows as one batch,
-    the static law runs them one by one.
+    its row's own run gives: the dynamic law's round loop steps the rows as
+    one batch, and the static law runs them one by one.
     """
     if law == "static" and options:
         raise DomainError(f"the static law takes no dynamic-law options {sorted(options)}")

@@ -39,7 +39,7 @@ target is z_j + z_j' under the ``pair`` rule and z_{(j-1)'} + z_j under the
 point under the uniformized chain.
 
 A round writes and checks only the moved window (the token holder and the
-agents it pushes), and its stop hook returns the residual itself.
+agents it pushes), and the round loop judges it on its exact residual.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import (DensityField, check_agent_count, check_integer, check_positions,
-                      mass_gaps, optimal_configuration)
+from .density import DensityField, check_agent_count, check_integer, check_positions, mass_gaps
 from .errors import DomainError, NumericError
-from .trace import (ExperimentTrace, StopRule, TraceBatch, check_mass, check_order, finish,
-                    record_row, run_rounds)
+from .trace import ExperimentTrace, StopRule, TraceBatch, run_rounds
 
 MIN_AGENTS = 3
 VARIANTS = ("figure2", "uniformized")
@@ -141,8 +139,9 @@ class DynamicState:
         return self.chain.n
 
     @property
-    def zsum(self) -> float:
-        return float(self.z.sum())
+    def zsum(self) -> float | np.ndarray:
+        """The mass total sum(z); one per row of a batch state."""
+        return float(self.z.sum()) if self.z.ndim == 1 else self.z.sum(axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +419,8 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
 # runs
 # ----------------------------------------------------------------------
 
-def simulate_dynamic(field: DensityField, state: DynamicState,
-                     stop: StopRule, *, record: str = "full") -> ExperimentTrace:
+def simulate_dynamic(field: DensityField, state: DynamicState, stop: StopRule, *,
+                     record: str = "full") -> ExperimentTrace | TraceBatch:
     """Run rounds from the current state until the stop rule fires.
 
     Rows are numbered by the state's round index, kept by the policy
@@ -429,76 +428,27 @@ def simulate_dynamic(field: DensityField, state: DynamicState,
     the conserved mass total. ``max_rounds`` counts rounds executed by this
     call, so churn scenarios can resume a state. An unset ``persist`` is
     one token cycle of U rounds, since one agent moves per round. A batch
-    state runs under ``summary`` only and gives a TraceBatch, one trace per row.
-    The stop hook is the residual in the round loop's own expression, so of
-    the rounds it decides, the loop maps exactly those at or below tol.
+    state steps its rows together, under ``summary`` only, and gives a
+    TraceBatch, one trace per row, each with the bits of its row's own run;
+    a row that stops is dropped from the state. The positions are carried,
+    so the loop maps exactly the rounds where some row's residual is at or
+    below tol, besides the entry and final rounds.
     """
     if stop.persist is None:
         stop = replace(stop, persist=state.chain.big_u)
-    if state.positions.ndim == 2:
-        return _simulate_rows(field, state, stop, record)
 
     def step(x, y):
+        state.positions, state.masses = x, y
         step_round(field, state)
         return state.positions, state.masses
 
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
                       t=state.round_index, zsum=lambda: state.zsum,
-                      bound=lambda y, xstar: float(np.square(state.positions - xstar).sum()),
-                      record=record)
-
-
-def _simulate_rows(field: DensityField, state: DynamicState, stop: StopRule,
-                   record: str) -> TraceBatch:
-    """simulate_dynamic for a batch state: all rows step together.
-
-    Every round checks each row's Σz and, in the move, each row's moved
-    window, and decides each row's stop by its exact residual, under the
-    stop rule of :func:`linecover.trace.run_rounds`. So each row stops on
-    the round its own run stops on under ``summary``, with the same final
-    row, whose order and coverage are checked as there. A stopped row is
-    compacted out of the state.
-    """
-    if record != "summary":
-        raise DomainError(f"a batch of runs records under 'summary' only, not {record!r}")
-    xstar, phi_star = optimal_configuration(field, state.n)
-    total, tol, t0 = field.total_mass, stop.tol, state.round_index
-    limit = -np.inf if tol is None else tol   # no residual is at or below -inf
-    _carried_masses(field, state)
-    live = np.arange(len(state.z))   # the start row of each run still going
-    traces = TraceBatch([None] * live.size)
-    settled = np.full(len(live), t0)
-    for k in range(stop.max_rounds + 1):
-        t = t0 + k
-        zsum = state.z.sum(axis=1)
-        check_mass(float(zsum[np.abs(zsum - total).argmax()]), total, t)   # the worst row
-        residual = np.square(state.positions - xstar).sum(axis=1)
-        settled = np.where(residual <= limit, settled, t + 1)
-        # the rounds settled..t have all held the criterion
-        done = settled <= t + 1 - stop.persist
-        if k == stop.max_rounds or done.any():
-            ending = done | (k == stop.max_rounds)
-            for i in np.flatnonzero(ending):
-                x = state.positions[i]
-                check_order(x, t)
-                trace = ExperimentTrace(metadata={"phi_star": phi_star}, record=record,
-                                        stop_tol=tol)
-                record_row(field, trace, t, x, state.masses[i], float(residual[i]),
-                           float(zsum[i]))
-                reason = "tol" if done[i] else "max_rounds"
-                traces[live[i]] = finish(field, trace, x, reason, int(settled[i]))
-            if ending.all():
-                break
-            go = ~ending
-            state.z, state.positions, state.masses = (
-                state.z[go], state.positions[go], state.masses[go])
-            live, settled = live[go], settled[go]
-        step_round(field, state)
-    return traces
+                      keep=lambda go: setattr(state, "z", state.z[go]), record=record)
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule, *,
-                record: str = "full", **options) -> ExperimentTrace:
+                record: str = "full", **options) -> ExperimentTrace | TraceBatch:
     """Initialize from positions0 and simulate until the stop rule fires;
     ``options`` (U, variant, movement rule) go to :func:`initialize_state`."""
     return simulate_dynamic(field, initialize_state(field, positions0, **options), stop,

@@ -111,8 +111,9 @@ class TraceBatch(list):
 
 
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, step: Callable,
-               stop: StopRule, *, bound: Callable, view: Callable | None = None, t: int = 0,
-               zsum: Callable[[], float] | None = None, record: str = "full") -> ExperimentTrace:
+               stop: StopRule, *, bound: Callable | None = None, view: Callable | None = None,
+               t: int = 0, zsum: Callable | None = None, keep: Callable | None = None,
+               record: str = "full") -> ExperimentTrace | TraceBatch:
     """Advance a run round by round until the stop rule fires.
 
     The loop carries the agents' masses y = F(x) next to their positions:
@@ -122,41 +123,52 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
     it as ``view``, on a (B, n) stack of masses, and carries no x (its step
     returns None) or ``zsum``. Rounds are numbered from ``t``, the entry
     state included. ``max_rounds`` counts the rounds executed by this call,
-    so churn scenarios can resume a run.
+    so churn scenarios can resume a run. A law that carries x may pass an
+    (R, n) stack, under ``summary`` only, for a TraceBatch of R runs, one
+    per row: each row settles and stops on its own, and is then dropped
+    from x and y, and by ``keep(go)``, given the rows that go on, from the
+    law's other state.
 
     The squared distance to the optimal configuration x* for the run's
     agent count drives the stop rule (that optimum is also the limit of
     both laws, so the criterion is computable online) and the trace's
     ``settled_round``. A round mapped alone has its x read, checked to be
-    ordered inside [0, 1], and its residual computed: the entry and final
-    rounds, under ``full`` every round of a law without a view, and each
-    round that ``bound(y, x*)``, a certified lower bound on that residual
-    which may check the unmapped state, does not place above tol. Other
-    rounds settle unmapped; under ``full`` the view maps them in blocks of
-    ``_BLOCK_MASSES`` masses or more, each before the next round mapped
-    alone, so rows keep their order and both policies decide alike, bit
-    for bit. ``zsum``, when given, returns the conserved mass total, which
-    must stay at F(1) in every round. ``record`` chooses the rounds that
-    keep a row (positions, coverage as half the largest boundary-doubled
-    gap of their masses, residual and zsum): every round under ``full``,
-    the final round only under ``summary``. A failed check, or a final
-    coverage that differs when recomputed, is an internal fault: NumericError.
+    ordered inside [0, 1], and each row's residual judged: the entry and
+    final rounds, under ``full`` every round of a law without a view, and
+    each round whose least row residual (for a view, ``bound(y, x*)``, a
+    certified lower bound on it which may check the unmapped state) is not
+    above tol. Other rounds settle unmapped; under ``full`` the view maps
+    them in blocks of ``_BLOCK_MASSES`` masses or more, each before the
+    next round mapped alone, so rows keep their order and both policies
+    decide alike, bit for bit. ``zsum``, when given, returns the conserved
+    mass total (one per row), which must stay at F(1) in every round.
+    ``record`` chooses the rounds that keep a row (positions, coverage as
+    half the largest boundary-doubled gap of their masses, residual and
+    zsum): every round under ``full``, the final round only under
+    ``summary``. A failed check, or a final coverage that differs when
+    recomputed, is an internal fault: NumericError.
     """
     every_round = check_record(record) == "full"
     x, y = positions, masses
-    xstar, phi_star = optimal_configuration(field, x.size)
+    batch = x.ndim == 2
+    if batch and every_round:
+        raise DomainError(f"a batch of runs records under 'summary' only, not {record!r}")
+    xstar, phi_star = optimal_configuration(field, x.shape[-1])
     total = field.total_mass
     tol = stop.tol
-    trace = ExperimentTrace(metadata={"phi_star": phi_star}, record=record, stop_tol=tol)
+    # runs: the trace of each row still going
+    traces = runs = [ExperimentTrace(metadata={"phi_star": phi_star}, record=record, stop_tol=tol)
+                     for _ in range(len(x) if batch else 1)]
     persist = 1 if stop.persist is None else stop.persist
-    settled = t
+    settled = [t] * len(runs)   # one past each row's last mapped round above tol
+    above = t   # one past the last round settled unmapped, above tol in every row
     block = []   # the masses of rounds t + k - len(block) .. t + k - 1, settled unmapped
 
     def flush():
         xs, first = view(np.array(block)), t + k - len(block)
-        check_order(xs, first)
+        check_order(xs, range(first, t + k))
         residuals = np.square(xs - xstar).sum(axis=-1).tolist()
-        record_row(field, trace, first, xs, field.cdf(xs), residuals, None)
+        record_row(field, runs[0], first, xs, field.cdf(xs), residuals, None)
         block.clear()
 
     for k in range(stop.max_rounds + 1):
@@ -164,10 +176,13 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
         if zsum is not None:
             mass = zsum()
             check_mass(mass, total, t + k)
+        # a carried x gives each row's exact residual, a view a lower bound on the least
+        residual = None if view is not None else np.square(x - xstar).sum(axis=-1)
         if k and k < stop.max_rounds and (view is not None or not every_round):
-            lower = bound(y, xstar)   # called even without tol: it may check the state
+            lower = (bound(y, xstar) if view is not None   # even without tol: it may check y
+                     else residual.min() if batch else residual)
             if tol is None or lower > tol:
-                settled = t + k + 1   # the round is above tol
+                above = t + k + 1
                 if every_round:
                     if len(block) * y.size >= _BLOCK_MASSES:
                         flush()
@@ -179,34 +194,54 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
         # fx: the masses of x, unknown for a view (it maps y to other masses' x)
         x, fx = (view(y[None])[0], None) if k and view is not None else (x, y)
         check_order(x, t + k)
-        residual = float(np.square(x - xstar).sum())
-        if tol is None or not residual <= tol:
-            settled = t + k + 1
-        # the rounds settled..t + k have all held the criterion
-        reason = ("tol" if t + k + 1 - settled >= persist
-                  else "max_rounds" if k == stop.max_rounds else "")
-        if reason or every_round:
-            record_row(field, trace, t + k, x, field.cdf(x) if fx is None else fx, residual, mass)
-        if reason:
-            break
+        if residual is None:
+            residual = np.square(x - xstar).sum(axis=-1)
+        # each row's residual and mass total
+        residuals, zs = (residual.tolist(), mass.tolist()) if batch else ((float(residual),), (mass,))
+        now, last, stopped = t + k + 1, k == stop.max_rounds, []
+        for i, ri in enumerate(residuals):
+            if tol is None or not ri <= tol:
+                settled[i] = now
+            elif settled[i] < above:
+                settled[i] = above
+            # the rounds settled[i]..t + k have all held the criterion
+            reason = "tol" if now - settled[i] >= persist else "max_rounds" if last else ""
+            if reason or every_round:
+                xi, yi = (x[i], fx[i]) if batch else (x, fx)
+                record_row(field, runs[i], t + k, xi, field.cdf(xi) if yi is None else yi, ri, zs[i])
+            if reason:
+                finish(field, runs[i], xi, reason, settled[i])
+                stopped.append(i)
+        if stopped:
+            go = [i for i in range(len(runs)) if i not in stopped]   # the rows that go on
+            if not go:
+                break
+            x, y = x[go], y[go]
+            keep(go)
+            runs, settled = [runs[i] for i in go], [settled[i] for i in go]
         x, y = step(x, y)
-    return finish(field, trace, x, reason, settled)
+    return TraceBatch(traces) if batch else traces[0]
 
 
-def check_mass(mass: float, total: float, t: int) -> None:
-    """NumericError unless the conserved mass total of round t stays at
-    F(1) = ``total`` within the guard; NaN fails."""
+def check_mass(mass: float | np.ndarray, total: float, t: int) -> None:
+    """NumericError unless the conserved mass total of round t, or every
+    row's total of a batch, stays at F(1) = ``total`` within the guard; NaN fails."""
+    if isinstance(mass, np.ndarray):
+        mass = float(mass[np.abs(mass - total).argmax()])   # the worst row
     if not abs(mass - total) <= _ZSUM_GUARD * max(1.0, total):
         raise NumericError(f"round {t}: mass conservation drifted: sum z = {mass!r}")
 
 
-def check_order(x: np.ndarray, t: int) -> None:
+def check_order(x: np.ndarray, t: int | range) -> None:
     """NumericError, naming the first round at fault, unless the positions x
-    of round t (or the rows of rounds t, t + 1, ...) are ordered inside [0, 1]."""
-    xt = x.T   # xt[i]: agent i's position, in one round or in each round of a stack
-    ok = (xt[0] >= 0.0) & (xt[-1] <= 1.0) & (xt[1:] >= xt[:-1]).all(axis=0)
-    if not (ok.all() if ok.ndim else ok):   # one round's ok is a scalar, read without a call
-        raise NumericError(f"round {t + int(np.argmin(ok))}: agent positions left order or [0, 1]")
+    of round t, one row or a stack of rows, are ordered inside [0, 1]; given
+    a range t, the rows of x are those of its rounds."""
+    lo, hi = (x[0], x[-1]) if x.ndim == 1 else (x[:, 0].min(), x[:, -1].max())
+    if not (lo >= 0.0 and hi <= 1.0 and (x[..., 1:] >= x[..., :-1]).all()):
+        if isinstance(t, range):   # the first round at fault raises
+            for row, t in zip(x, t):
+                check_order(row, t)
+        raise NumericError(f"round {t}: agent positions left order or [0, 1]")
 
 
 def record_row(field: DensityField, trace: ExperimentTrace, t: int, x: np.ndarray,

@@ -777,21 +777,31 @@ NARROW_DENSITY = {"breakpoints": [0.0, 0.99, 1.0], "coefficients": [
     [1.0], [980149501.625, -3940299500.0, 5940150000.0, -3980000000.0, 1000000000.0]]}
 
 
-@pytest.mark.parametrize("density, init", [("quadratic", "random"), ("narrow", "all-one")])
-def test_static_full_and_summary_runs_end_on_the_same_row(capsys, tmp_path, density, init):
+@pytest.mark.parametrize("args", [
+    ["--law", "static", "--density", "quadratic", "--init", "random", "--n", "40"],
+    ["--law", "static", "--density", "narrow", "--init", "all-one", "--n", "40"],
+    ["--law", "dynamic", "--density", "quadratic", "--n", "200"],
+    ["--law", "dynamic", "--variant", "figure2", "--n", "60", "--tol", "2e-3"],
+    ["--law", "dynamic", "--density", "quadratic", "--init", "all-zero-perturbed", "--n", "200"],
+    ["--law", "dynamic", "--density", "quadratic", "--rule", "pair", "--n", "60", "--tol", "0.05"],
+], ids=["static-quadratic", "static-narrow", "dynamic-quadratic", "dynamic-figure2",
+        "dynamic-all-zero", "dynamic-pair"])
+def test_full_and_summary_runs_end_on_the_same_row(capsys, tmp_path, args):
     # a static run carries the masses y and maps positions only where they
-    # are read, a full one in blocks of rounds: at n = 40, which maps a lone
-    # round on the vector path, both policies must reach tol at the same
-    # round, and the summary trace's one data row must be the full trace's
-    # last row byte for byte
-    if density == "narrow":
-        density = tmp_path / "narrow_density.json"
-        density.write_text(json.dumps(NARROW_DENSITY))
+    # are read, a full one in blocks of rounds (at n = 40, a lone round on
+    # the vector path); a summary dynamic round is settled by its residual,
+    # computed in the round loop's own expression (figure2 settles near, not
+    # at, the optimum: a residual of about 1.3e-3 at n = 60; the all-zero
+    # start pushes long runs of agents in its first cycles). Run to tol, both
+    # policies must stop at the same round, and the summary trace's one data
+    # row must be the full trace's last row byte for byte
+    narrow = tmp_path / "narrow_density.json"
+    narrow.write_text(json.dumps(NARROW_DENSITY))
+    args = [str(narrow) if arg == "narrow" else arg for arg in args]
     runs, lines = {}, {}
     for record in ("full", "summary"):
         code, out, err = run_cli(capsys, [
-            "simulate", "--law", "static", "--density", str(density), "--init", init,
-            "--n", "40", "--record", record, "--out-dir", str(tmp_path), "--prefix", record])
+            "simulate", *args, "--record", record, "--out-dir", str(tmp_path), "--prefix", record])
         assert code == 0, err
         runs[record] = json.loads(out)
         lines[record] = Path(runs[record]["trace_csv"]).read_bytes().splitlines(True)

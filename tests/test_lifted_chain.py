@@ -784,6 +784,22 @@ def batch_matching_its_runs(field, starts, stop, **options):
     return batch
 
 
+def test_batch_state_zsum_is_each_rows_total(quadratic_field):
+    # a batch state's zsum is one total per row, each with its own run's
+    # bits, not the sum over the whole batch
+    starts = np.array([initial_positions("random", 7, StreamRng(3, 7, run), law="dynamic")
+                       for run in range(3)])
+    batch = initialize_state(quadratic_field, starts)
+    alone = [initialize_state(quadratic_field, x0) for x0 in starts]
+    batch.z[1, 2] += 0.25
+    alone[1].z[2] += 0.25
+    for state in (batch, *alone):
+        for _ in range(5):
+            step_round(quadratic_field, state)
+    assert batch.zsum.tolist() == [state.zsum for state in alone]
+    assert batch.zsum[1] == pytest.approx(quadratic_field.total_mass + 0.25, rel=1e-14)
+
+
 @settings(max_examples=60)
 @given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
        n=st.integers(3, 40), rows=st.integers(1, 9), data=st.data(),

@@ -26,7 +26,7 @@ from linecover import (
     sweep,
 )
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
-from linecover.trace import check_record
+from linecover.trace import check_order, check_record
 
 from conftest import make_random_field
 
@@ -260,3 +260,24 @@ def test_mass_guard_refuses_nan(uniform_field, record):
     state.z[3] = np.nan
     with pytest.raises(NumericError, match="round 0: mass conservation drifted"):
         simulate_dynamic(uniform_field, state, StopRule(tol=1e-4, max_rounds=5), record=record)
+    if record == "summary":   # a batch checks every row's total, and names the worst
+        state = initialize_state(uniform_field, np.array([np.linspace(0.1, 0.9, 6)] * 3))
+        state.z[1, 3] = np.nan
+        with pytest.raises(NumericError, match="round 0: mass conservation drifted: sum z = nan"):
+            simulate_dynamic(uniform_field, state, StopRule(tol=1e-4, max_rounds=5),
+                             record=record)
+
+
+@pytest.mark.parametrize("fault", [[0.2, 0.8, 0.7], [-0.1, 0.5, 0.7], [0.2, 0.5, 1.5],
+                                   [0.2, np.nan, 0.7]])
+def test_order_check_names_the_round_of_a_stack_of_rows(fault):
+    # the rows of one round, as a batch of runs maps them, name that round;
+    # a stack of rounds names the first round at fault
+    x = np.array([[0.1, 0.5, 0.9], fault, [0.3, 0.4, 0.5]])
+    check_order(x[[0, 2]], 7)
+    with pytest.raises(NumericError, match="^round 7: agent positions left order"):
+        check_order(x, 7)
+    with pytest.raises(NumericError, match="^round 8: agent positions left order"):
+        check_order(x, range(7, 10))
+    with pytest.raises(NumericError, match="^round 7: agent positions left order"):
+        check_order(x[1], 7)
