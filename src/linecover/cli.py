@@ -115,43 +115,67 @@ def write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
         handle.writelines(line % tuple(row) for row in rows)
 
 
-def write_trace_csv(path: Path, trace: ExperimentTrace) -> None:
-    """Round, positions, phi, residual and zsum, which is empty for the static law.
+def write_trace_csv(path: Path, run) -> ExperimentTrace:
+    """Call ``run(sink)`` and write each row it hands the sink, as the run
+    goes: round, positions, phi, residual and zsum, which is empty for the
+    static law. Returns the trace that ``run`` returns.
 
     A position whose float64 bits are unchanged since the previous row reuses
-    that row's text; only the agents that moved are formatted again. Bits,
-    not values, decide, because -0.0 == 0.0 but they print as -0 and 0. A
-    row's positions stay one joined text, split into cells only when a
-    later row moves some agents but not all.
+    that row's text; only the agents that moved are formatted again, once
+    if they all moved to one value. Bits, not values, decide, because
+    -0.0 == 0.0 but they print as -0 and 0. A row's positions stay one
+    joined text, split into cells only when a later row moves some agents
+    but not all. The writer copies the previous row's bits, as the run
+    reuses their buffer. The rows go to a file beside path, which replaces
+    it once the run has returned: a failed run leaves no trace CSV, and an
+    older one as it was.
     """
-    n = len(trace.rows[0].positions)
-    header = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["phi", "residual", "zsum"]
-    dynamic = trace.rows[0].zsum is not None
-    fmt = ",".join(["%d", "%s", _FLOAT, _FLOAT, _FLOAT if dynamic else ""])
-    every = ",".join([_FLOAT] * n)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    line = every = previous = None
+    text, cells = "", None   # the previous row's positions; cells once split
 
-    def rows():
-        text, cells = "", None   # the previous row's positions; cells once split
-        # differs from the first row in every bit, so that row formats every agent
-        previous = ~trace.rows[0].positions.view(np.uint64)
-        for row in trace.rows:
+    def sink(rows):
+        nonlocal line, every, previous, text, cells
+        if line is None:   # the header, from the first row
+            n = len(rows[0].positions)
+            handle.write(",".join(["t"] + [f"x_{i}" for i in range(1, n + 1)]
+                                  + ["phi", "residual", "zsum"]) + "\r\n")
+            zsum = _FLOAT if rows[0].zsum is not None else ""
+            line = ",".join(["%d", "%s", _FLOAT, _FLOAT, zsum]) + "\r\n"
+            every = ",".join([_FLOAT] * n)
+            # differs from the first row in every bit, so that row formats every agent
+            previous = ~rows[0].positions.view(np.uint64)
+        lines = []
+        for row in rows:
             bits = row.positions.view(np.uint64)
             moved = (bits != previous).nonzero()[0]
-            if moved.size == n:
+            if moved.size == bits.size:
                 text, cells = every % tuple(row.positions.tolist()), None
             elif moved.size:
                 if cells is None:
                     cells = text.split(",")
-                # one % for all the moved values; "%.17g" text holds no comma
-                texts = ",".join([_FLOAT] * moved.size) % tuple(row.positions[moved].tolist())
-                for i, cell in zip(moved.tolist(), texts.split(",")):
+                values = row.positions[moved].tolist()
+                # rows are ordered: equal nonzero end values (±0 print apart) hold every one
+                if values[0] == values[-1] != 0.0:
+                    texts = [_FLOAT % values[0]] * moved.size
+                else:   # one % for all the moved values; "%.17g" text holds no comma
+                    texts = (",".join([_FLOAT] * moved.size) % tuple(values)).split(",")
+                for i, cell in zip(moved.tolist(), texts):
                     cells[i] = cell
                 text = ",".join(cells)
             previous = bits
-            yield (row.t, text, row.phi, row.residual_sq,
-                   *((row.zsum,) if dynamic else ()))
+            lines.append(line % (row.t, text, row.phi, row.residual_sq,
+                                 *(() if row.zsum is None else (row.zsum,))))
+        handle.writelines(lines)
+        previous = previous.copy()
 
-    write_csv(path, header, fmt, rows())
+    try:
+        with open(part, "w", newline="") as handle:
+            trace = run(sink)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+    return trace
 
 
 def _write_summary(args, summary: dict) -> int:
@@ -188,11 +212,10 @@ def cmd_simulate(args) -> int:
         rng = harness.StreamRng(scenario["seed"], n, 0)
         x0 = harness.initial_positions(scenario["init"], n, rng, law=law)
     stop = StopRule(scenario["tol"], scenario["max_rounds"])
-    trace = harness.run_one(law, field, x0, stop, record=record, **_law_options(scenario))
-    rounds, converged = harness.convergence_time(trace, scenario["tol"])
-
     trace_path = _out_path(args, f"{args.prefix}_trace.csv")
-    write_trace_csv(trace_path, trace)
+    trace = write_trace_csv(trace_path, lambda sink: harness.run_one(
+        law, field, x0, stop, record=record, sink=sink, **_law_options(scenario)))
+    rounds, converged = harness.convergence_time(trace, scenario["tol"])
     return _write_summary(args, {
         "scenario": scenario,
         "record": record,

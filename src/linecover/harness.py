@@ -146,9 +146,10 @@ def loglog_fit(ns, values) -> FitResult:
 
 
 def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
-            record: str = "full", **options):
-    """Dispatch a single run; ``record`` is the trace's recording policy and
-    ``options`` go to the dynamic law's ``initialize_state``.
+            record: str = "full", sink=None, **options):
+    """Dispatch a single run; ``record`` (the recording policy) and ``sink``
+    go to :func:`linecover.trace.run_rounds`, and ``options`` to the
+    dynamic law's ``initialize_state``.
 
     An (R, n) stack of starts, allowed under ``summary`` only, runs R runs
     and gives a TraceBatch of their traces, one per row, each with the bits
@@ -163,9 +164,9 @@ def run_one(law: str, field: DensityField, positions0, stop: StopRule, *,
     if law == "static" and batch:
         return TraceBatch(run_static(field, x, stop, record=record) for x in positions0)
     if law == "static":
-        return run_static(field, positions0, stop, record=record)
+        return run_static(field, positions0, stop, record=record, sink=sink)
     if law == "dynamic":
-        return run_dynamic(field, positions0, stop, record=record, **options)
+        return run_dynamic(field, positions0, stop, record=record, sink=sink, **options)
     raise DomainError(f"unknown law {law!r}")
 
 

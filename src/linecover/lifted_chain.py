@@ -420,12 +420,13 @@ def remove_agent(state: DynamicState, i: int) -> DynamicState:
 # ----------------------------------------------------------------------
 
 def simulate_dynamic(field: DensityField, state: DynamicState, stop: StopRule, *,
-                     record: str = "full") -> ExperimentTrace | TraceBatch:
+                     record: str = "full", sink=None) -> ExperimentTrace | TraceBatch:
     """Run rounds from the current state until the stop rule fires.
 
     Rows are numbered by the state's round index, kept by the policy
-    ``record`` (see :func:`linecover.trace.run_rounds`), and also record
-    the conserved mass total. ``max_rounds`` counts rounds executed by this
+    ``record`` and handed to ``sink``, if given (see
+    :func:`linecover.trace.run_rounds`), and also record the conserved mass
+    total. ``max_rounds`` counts rounds executed by this
     call, so churn scenarios can resume a state. An unset ``persist`` is
     one token cycle of U rounds, since one agent moves per round. A batch
     state steps its rows together, under ``summary`` only, and gives a
@@ -444,12 +445,13 @@ def simulate_dynamic(field: DensityField, state: DynamicState, stop: StopRule, *
 
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
                       t=state.round_index, zsum=lambda: state.zsum,
-                      keep=lambda go: setattr(state, "z", state.z[go]), record=record)
+                      keep=lambda go: setattr(state, "z", state.z[go]), record=record,
+                      sink=sink)
 
 
 def run_dynamic(field: DensityField, positions0, stop: StopRule, *,
-                record: str = "full", **options) -> ExperimentTrace | TraceBatch:
+                record: str = "full", sink=None, **options) -> ExperimentTrace | TraceBatch:
     """Initialize from positions0 and simulate until the stop rule fires;
     ``options`` (U, variant, movement rule) go to :func:`initialize_state`."""
     return simulate_dynamic(field, initialize_state(field, positions0, **options), stop,
-                            record=record)
+                            record=record, sink=sink)

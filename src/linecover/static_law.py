@@ -61,9 +61,10 @@ def static_step(field: DensityField, positions, masses=None) -> np.ndarray:
 
 
 def run_static(field: DensityField, positions0, stop: StopRule, *,
-               record: str = "full") -> ExperimentTrace:
+               record: str = "full", sink=None) -> ExperimentTrace:
     """Iterate the static law until the stop rule fires, recording rows by
-    the policy ``record`` (see :func:`linecover.trace.run_rounds`)."""
+    the policy ``record`` and handing them to ``sink``, if given (see
+    :func:`linecover.trace.run_rounds`)."""
     x = check_positions(positions0, n_min=MIN_AGENTS)
     total, rho_max, n = field.total_mass, field.rho_max, x.size
     ystar = optimal_masses(field, n)
@@ -83,4 +84,5 @@ def run_static(field: DensityField, positions0, stop: StopRule, *,
         return max((d @ d) ** 0.5 - cut, 0.0) ** 2 * shrink
 
     return run_rounds(field, x, field.cdf(x), lambda x, y: (None, _advance(y, total)), stop,
-                      bound=bound, view=lambda ys: static_step(field, None, ys), record=record)
+                      bound=bound, view=lambda ys: static_step(field, None, ys), record=record,
+                      sink=sink)

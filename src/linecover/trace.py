@@ -11,11 +11,14 @@ from .density import DensityField, check_integer, coverage, mass_gaps, optimal_c
 from .errors import DomainError, NumericError
 
 _ZSUM_GUARD = 1e-9   # internal relative drift guard on the conserved mass
-# Under a full trace, the least number of masses whose rounds one view call maps, so
-# that F^-1 and cdf run once a block (n scalar calls a round at n <= 32). perfbench
-# static-quadratic wall_s (seed 3, 2 shared CPUs, 3 runs): 0.023-0.024 s round by round;
-# 0.0106-0.0108, 0.0096-0.0098, 0.0087-0.0092, 0.0094-0.0097 s at 512, 1024, 2048, 4096
-# masses; 8192 no faster, at +5.0 % peak memory (4096 +1.9 %, 2048 +0.5 %).
+# Under a full trace, the masses whose rounds are recorded as one block: the static F^-1
+# and cdf then run once a block (n scalar calls a round at n <= 32), and a dynamic round
+# pays no order check or row of its own. perfbench static-quadratic wall_s (seed 3, 2
+# shared CPUs, 3 runs): 0.023-0.024 s round by round; 0.0106-0.0108, 0.0096-0.0098,
+# 0.0087-0.0092, 0.0094-0.0097 s at 512, 1024, 2048, 4096 masses; 8192 no faster, at
+# +5.0 % peak memory (4096 +1.9 %, 2048 +0.5 %). A full dynamic round (best of 15): 19-20,
+# 21, 35 us at n = 10, 100, 1000 round by round; 13-14, 15-16, 29-30 (streamed) at 2048
+# masses; 1024 costs 17-18 us at n = 100, 4096 and 8192 save 1-3 us at n = 1000.
 _BLOCK_MASSES = 2048
 
 
@@ -74,10 +77,12 @@ class ExperimentTrace:
     strictly increasing; it starts at the entry round, 0 for fresh runs and
     the resume round for continuations after agent churn. ``record`` names
     the policy that chose the rows (see :func:`check_record`); the final
-    round always has one. ``settled_round`` is one past the last round
-    whose residual exceeded ``stop_tol``, the tol the stop rule judged
-    (the entry round if none did); it covers every round whatever the
-    policy, and means nothing when ``stop_tol`` is None.
+    round always has one. A run whose rows went to a sink keeps its final
+    row only, as under ``summary``, and names that policy.
+    ``settled_round`` is one past the last round whose residual exceeded
+    ``stop_tol``, the tol the stop rule judged (the entry round if none
+    did); it covers every round whatever the policy, and means nothing when
+    ``stop_tol`` is None.
     """
 
     metadata: dict
@@ -113,7 +118,7 @@ class TraceBatch(list):
 def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, step: Callable,
                stop: StopRule, *, bound: Callable | None = None, view: Callable | None = None,
                t: int = 0, zsum: Callable | None = None, keep: Callable | None = None,
-               record: str = "full") -> ExperimentTrace | TraceBatch:
+               record: str = "full", sink: Callable | None = None) -> ExperimentTrace | TraceBatch:
     """Advance a run round by round until the stop rule fires.
 
     The loop carries the agents' masses y = F(x) next to their positions:
@@ -134,19 +139,23 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
     both laws, so the criterion is computable online) and the trace's
     ``settled_round``. A round mapped alone has its x read, checked to be
     ordered inside [0, 1], and each row's residual judged: the entry and
-    final rounds, under ``full`` every round of a law without a view, and
-    each round whose least row residual (for a view, ``bound(y, x*)``, a
-    certified lower bound on it which may check the unmapped state) is not
-    above tol. Other rounds settle unmapped; under ``full`` the view maps
-    them in blocks of ``_BLOCK_MASSES`` masses or more, each before the
-    next round mapped alone, so rows keep their order and both policies
-    decide alike, bit for bit. ``zsum``, when given, returns the conserved
-    mass total (one per row), which must stay at F(1) in every round.
-    ``record`` chooses the rounds that keep a row (positions, coverage as
-    half the largest boundary-doubled gap of their masses, residual and
-    zsum): every round under ``full``, the final round only under
-    ``summary``. A failed check, or a final coverage that differs when
-    recomputed, is an internal fault: NumericError.
+    final rounds, and each round whose least row residual (for a view,
+    ``bound(y, x*)``, a certified lower bound on it which may check the
+    unmapped state) is not above tol. Every other round settles unmapped,
+    under either policy, so both decide alike, bit for bit. ``zsum``, when
+    given, returns the conserved mass total (one per row), which must stay
+    at F(1) in every round. ``record`` chooses the rounds that keep a row
+    (positions, coverage as half the largest boundary-doubled gap of their
+    masses, residual and zsum): every round under ``full``, the final round
+    only under ``summary``. Under ``full`` the rounds settled unmapped are
+    queued (their y, and a carried x, residual and zsum) and recorded as one
+    block, checked for order, once the queue holds ``_BLOCK_MASSES`` masses
+    and before each round mapped alone; a view maps the block's y, and the
+    block's rows view its x. ``sink``, when given, takes one run's rows in
+    round order as they are recorded; the trace then keeps only its final
+    row, as under ``summary``, and the loop reuses its buffers, so the sink
+    copies what it keeps. A failed check, or a final coverage that differs
+    when recomputed, is an internal fault: NumericError.
     """
     every_round = check_record(record) == "full"
     x, y = positions, masses
@@ -157,19 +166,36 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
     total = field.total_mass
     tol = stop.tol
     # runs: the trace of each row still going
-    traces = runs = [ExperimentTrace(metadata={"phi_star": phi_star}, record=record, stop_tol=tol)
+    traces = runs = [ExperimentTrace(metadata={"phi_star": phi_star}, stop_tol=tol,
+                                     record=record if sink is None else "summary")
                      for _ in range(len(x) if batch else 1)]
     persist = 1 if stop.persist is None else stop.persist
     settled = [t] * len(runs)   # one past each row's last mapped round above tol
     above = t   # one past the last round settled unmapped, above tol in every row
-    block = []   # the masses of rounds t + k - len(block) .. t + k - 1, settled unmapped
+    # the queue of a full trace: the y of each round settled unmapped since the
+    # last flush and, for a law that carries x, its x, residual and mass total
+    qy = np.empty((-(-_BLOCK_MASSES // x.shape[-1]), x.shape[-1]))
+    qx, qr, qz = np.empty_like(qy), np.empty(len(qy)), np.empty(len(qy))
+    queued = 0
 
-    def flush():
-        xs, first = view(np.array(block)), t + k - len(block)
-        check_order(xs, range(first, t + k))
-        residuals = np.square(xs - xstar).sum(axis=-1).tolist()
-        record_row(field, runs[0], first, xs, field.cdf(xs), residuals, None)
-        block.clear()
+    def flush(end):   # record the queued rounds, end - queued .. end - 1, as rows
+        nonlocal qx, queued
+        rounds, b, queued = range(end - queued, end), queued, 0
+        xs = qx[:b] if view is None else view(qy[:b])
+        check_order(xs, rounds)
+        if view is None:
+            record_row(field, runs[0], rounds.start, xs, qy[:b], qr[:b].tolist(), qz[:b].tolist())
+            if sink is None:   # the rows view the queued x: the trace keeps that buffer
+                qx = np.empty_like(qx)
+        else:
+            record_row(field, runs[0], rounds.start, xs, field.cdf(xs),
+                       np.square(xs - xstar).sum(axis=-1).tolist(), [None] * b)
+        emit(runs[0])
+
+    def emit(run):   # the sink takes the rows recorded; the trace keeps its final row
+        if sink is not None:
+            sink(run.rows)
+            run.rows = run.rows[-1:] if run.stop_reason else []
 
     for k in range(stop.max_rounds + 1):
         mass = None
@@ -178,19 +204,22 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
             check_mass(mass, total, t + k)
         # a carried x gives each row's exact residual, a view a lower bound on the least
         residual = None if view is not None else np.square(x - xstar).sum(axis=-1)
-        if k and k < stop.max_rounds and (view is not None or not every_round):
+        if k and k < stop.max_rounds:
             lower = (bound(y, xstar) if view is not None   # even without tol: it may check y
                      else residual.min() if batch else residual)
             if tol is None or lower > tol:
                 above = t + k + 1
                 if every_round:
-                    if len(block) * y.size >= _BLOCK_MASSES:
-                        flush()
-                    block.append(y)
+                    qy[queued] = y
+                    if view is None:
+                        qx[queued], qr[queued], qz[queued] = x, residual, mass
+                    queued += 1
+                    if queued == len(qy):
+                        flush(t + k + 1)
                 x, y = step(x, y)
                 continue
-        if block:
-            flush()
+        if queued:
+            flush(t + k)
         # fx: the masses of x, unknown for a view (it maps y to other masses' x)
         x, fx = (view(y[None])[0], None) if k and view is not None else (x, y)
         check_order(x, t + k)
@@ -209,9 +238,10 @@ def run_rounds(field: DensityField, positions: np.ndarray, masses: np.ndarray, s
             if reason or every_round:
                 xi, yi = (x[i], fx[i]) if batch else (x, fx)
                 record_row(field, runs[i], t + k, xi, field.cdf(xi) if yi is None else yi, ri, zs[i])
-            if reason:
-                finish(field, runs[i], xi, reason, settled[i])
-                stopped.append(i)
+                if reason:
+                    finish(field, runs[i], xi, reason, settled[i])
+                    stopped.append(i)
+                emit(runs[i])
         if stopped:
             go = [i for i in range(len(runs)) if i not in stopped]   # the rows that go on
             if not go:
@@ -245,16 +275,17 @@ def check_order(x: np.ndarray, t: int | range) -> None:
 
 
 def record_row(field: DensityField, trace: ExperimentTrace, t: int, x: np.ndarray,
-               masses: np.ndarray, residual, zsum: float | None) -> None:
+               masses: np.ndarray, residual, zsum) -> None:
     """Append the row of round t: a copy of the positions x, their coverage
     as half the largest boundary-doubled gap of their ``masses``, the
-    residual and zsum; or, given stacks of them, the rows of rounds t, t + 1, ..."""
+    residual and zsum; or, given stacks of them (one residual and zsum per
+    row), the rows of rounds t, t + 1, ..., whose positions view the rows of x."""
     gaps = mass_gaps(masses, field.total_mass)
-    if x.ndim == 1:   # one round, as every dynamic row: spared the stack's extra calls
+    if x.ndim == 1:   # one round mapped alone: spared the stack's extra calls
         trace.rows.append(TraceRow(t, x.copy(), float(gaps.max()) / 2.0, residual, zsum))
     else:
-        trace.rows.extend(map(TraceRow, range(t, t + len(x)), x.copy(),
-                              (gaps.max(axis=-1) / 2.0).tolist(), residual, [zsum] * len(x)))
+        trace.rows.extend(map(TraceRow, range(t, t + len(x)), x,
+                              (gaps.max(axis=-1) / 2.0).tolist(), residual, zsum))
 
 
 def finish(field: DensityField, trace: ExperimentTrace, x: np.ndarray, reason: str,

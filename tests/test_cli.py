@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -746,6 +747,65 @@ def test_trace_csv_matches_its_rows(tmp_path_factory, law, density, n, seed, var
     trace = run_one(law, resolve_density(density), x0,
                     StopRule(tol=1e-4, max_rounds=rounds), **options)
     assert (out / "simulate_trace.csv").read_bytes() == _trace_bytes(trace)
+
+
+def test_a_failed_simulate_leaves_no_trace_behind(capsys, tmp_path, monkeypatch):
+    # the rows stream to a file beside the trace CSV, which replaces it only
+    # once the run has returned: a run that fails after some blocks were
+    # written leaves no trace CSV, and an older one as it was
+    argv = ["simulate", "--law", "dynamic", "--n", "40", "--tol", "1e-300", "--max-rounds", "400",
+            "--out-dir", str(tmp_path)]
+    assert run_cli(capsys, argv + ["--prefix", "old"])[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real, streamed = linecover.lifted_chain.step_round, []
+
+    def faulty(field, state):
+        real(field, state)
+        if state.round_index == 300:   # after five blocks of 52 rounds
+            streamed.extend(p.stat().st_size for p in tmp_path.glob(".*_trace.csv.*"))
+            state.z[3] = np.nan
+        return state
+
+    monkeypatch.setattr(linecover.lifted_chain, "step_round", faulty)
+    for prefix in ("old", "new"):
+        code, out, err = run_cli(capsys, argv + ["--prefix", prefix])
+        assert (code, out, json.loads(err)["error"]) == (4, "", "numeric")
+        assert "round 300: mass conservation drifted" in err
+    # five blocks of 52 rows had been written, 40 cells of 10 bytes or more each
+    assert len(streamed) == 2 and min(streamed) > 5 * 52 * 40 * 10
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_streamed_simulate_holds_no_trace_in_memory(tmp_path):
+    # a full simulate streams its rows to the CSV as they are recorded: at
+    # n = 500 over 4000 rounds the positions kept would take 16 MB, and the
+    # traced peak must stay below a quarter of that, with the CSV's bytes
+    # those of the run's rows as the API keeps them
+    n, rounds = 500, 4000
+    argv = ["simulate", "--law", "dynamic", "--density", "quadratic", "--n", str(n),
+            "--seed", "3", "--tol", "1e-300", "--max-rounds", str(rounds),
+            "--out-dir", str(tmp_path)]
+    main(argv + ["--record", "summary"])   # the imports and caches a run first fills
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (rounds + 1) * n * 8 / 4
+    x0 = initial_positions("random", n, StreamRng(3, n, 0), law="dynamic")
+    trace = run_one("dynamic", resolve_density("quadratic"), x0,
+                    StopRule(tol=1e-300, max_rounds=rounds))
+    assert len(trace.rows) == rounds + 1
+    # the bytes of _trace_bytes, with each distinct position formatted once
+    values, at = np.unique(np.array([row.positions for row in trace.rows]).view(np.uint64),
+                           return_inverse=True)
+    texts = np.array([format(v, ".17g") for v in values.view(float).tolist()], dtype=object)
+    lines = [",".join(["t", *(f"x_{i}" for i in range(1, n + 1)), "phi", "residual", "zsum"])]
+    lines += [",".join([str(row.t), *cells, *(format(v, ".17g") for v in (
+        row.phi, row.residual_sq, row.zsum))]) for row, cells in zip(
+        trace.rows, texts[at.reshape(len(trace.rows), n)].tolist())]
+    assert (tmp_path / "simulate_trace.csv").read_bytes() == "\r\n".join(lines + [""]).encode()
 
 
 @pytest.mark.parametrize("law", ["static", "dynamic"])

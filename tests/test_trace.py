@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linecover.harness
+import linecover.lifted_chain
 import linecover.trace
 from linecover import (
     DomainError,
@@ -25,8 +26,9 @@ from linecover import (
     simulate_dynamic,
     sweep,
 )
-from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS
-from linecover.trace import check_order, check_record
+from linecover.density import gap_vector, optimal_configuration
+from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS, step_round
+from linecover.trace import TraceRow, check_order, check_record
 
 from conftest import make_random_field
 
@@ -281,3 +283,106 @@ def test_order_check_names_the_round_of_a_stack_of_rows(fault):
         check_order(x, range(7, 10))
     with pytest.raises(NumericError, match="^round 7: agent positions left order"):
         check_order(x[1], 7)
+
+
+def reference_dynamic_rows(field, state, rounds):
+    """The dynamic law from ``state`` with every round mapped and recorded:
+    the row of each of ``rounds`` + 1 rounds, positions read from the state,
+    coverage recomputed from them, the residual and sum z."""
+    xstar = optimal_configuration(field, state.n)[0]
+    linecover.lifted_chain._carried_masses(field, state)   # as the run maps them on entry
+    rows = []
+    for k in range(rounds + 1):
+        x = state.positions
+        rows.append(TraceRow(state.round_index, x.copy(), float(gap_vector(field, x).max()) / 2.0,
+                             float(np.square(x - xstar).sum()), float(state.z.sum())))
+        if k < rounds:
+            step_round(field, state)
+    return rows
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["uniform", "quadratic", "random"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(3, 40), data=st.data(), variant=st.sampled_from(VARIANTS),
+       rule=st.sampled_from(MOVEMENT_RULES), churn=st.booleans(),
+       persist=st.sampled_from([None, 1, 3]))
+def test_every_full_dynamic_row_equals_the_row_of_a_loop_that_maps_every_round(
+        kind, seed, n, data, variant, rule, churn, persist):
+    # a full dynamic run queues the rounds it settles unmapped and records
+    # them in blocks of ceil(2048 / n) rounds: each row must still be the
+    # one a loop that maps and records every round gives. The draws spread
+    # the run's length over up to three blocks and its stop round over the run
+    field = make_random_field(StreamRng(seed)) if kind == "random" else resolve_density(kind)
+    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
+    x0 = initial_positions("random", n, StreamRng(seed, n, 0), law="dynamic")
+
+    def start():
+        events = StreamRng(seed, n, 1)
+        state = initialize_state(field, x0, big_u=big_u, variant=variant, movement_rule=rule)
+        if churn:   # resumed after an agent joins and one leaves: rounds from t != 0
+            simulate_dynamic(field, state, StopRule(tol=None, max_rounds=1 + n // 2),
+                             record="summary")
+            add_agent(state, events.uniform())
+            remove_agent(state, events.randint(1, state.n))
+        return state
+
+    per_block = -(-linecover.trace._BLOCK_MASSES // n)
+    max_rounds = data.draw(st.integers(1, 3 * per_block + 2), label="max_rounds")
+    free = reference_dynamic_rows(field, start(), max_rounds)
+    # a tol just under the residual of a drawn round, as in the static test
+    residual = free[data.draw(st.integers(0, max_rounds), label="pick")].residual_sq
+    tol = float(np.nextafter(residual, 0.0)) if residual > 0.0 else 1e-300
+    stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+    trace = simulate_dynamic(field, start(), stop)
+    final, reason, settled = scan_stop(linecover.trace.ExperimentTrace({}, free), tol,
+                                       persist or big_u)
+    assert stop_of(trace) == (final, reason, settled)
+    expected = free[:final - free[0].t + 1]
+    assert len(trace.rows) == len(expected)
+    assert all(same_row(a, b) for a, b in zip(trace.rows, expected))
+
+
+@pytest.mark.parametrize("fault", ["nan", "swap", "nan z"])
+@pytest.mark.parametrize("n, block, row", [(12, 0, 0), (12, 0, 100), (12, 1, 170),
+                                           (80, 2, 25), (80, 0, 13)])
+def test_a_fault_inside_a_dynamic_block_names_its_round(monkeypatch, quadratic_field, fault, n,
+                                                        block, row):
+    # positions that are NaN or out of order in one round of a block are an
+    # internal fault, named by that round; a run without tol settles every
+    # round but its entry and final ones unmapped, in blocks of
+    # ceil(2048 / n) rounds from round 1. The fault is undone a round later,
+    # so no later move can see it first. A NaN in z fails at its own round
+    per_block = -(-linecover.trace._BLOCK_MASSES // n)
+    bad = 1 + block * per_block + row
+    real, checked, saved = linecover.lifted_chain.step_round, [], []
+
+    def faulty(field, state):
+        if saved:   # restore the round before the fault
+            state.positions[:], state.masses[:] = saved.pop()
+        real(field, state)
+        if state.round_index == bad:
+            x = state.positions
+            saved.append((x.copy(), state.masses.copy()))
+            if fault == "swap":
+                x[[0, -1]] = x[[-1, 0]]
+            elif fault == "nan":
+                x[n // 2] = np.nan
+            else:
+                state.z[n // 2] = np.nan
+        return state
+
+    monkeypatch.setattr(linecover.lifted_chain, "step_round", faulty)
+    real_check = linecover.trace.check_order
+    monkeypatch.setattr(linecover.trace, "check_order",
+                        lambda x, t: checked.append(t) or real_check(x, t))
+    state = initialize_state(quadratic_field, initial_positions("random", n, StreamRng(4, n, 0),
+                                                                law="dynamic"))
+    what = "mass conservation drifted" if fault == "nan z" else "agent positions left order"
+    with pytest.raises(NumericError, match=f"^round {bad}: {what}"):
+        simulate_dynamic(quadratic_field, state, StopRule(tol=None, max_rounds=3 * per_block + 1))
+    if fault == "nan z":   # before its block was recorded
+        assert checked == [0] + [range(1 + b * per_block, 1 + (b + 1) * per_block)
+                                 for b in range(block)]
+    else:   # the fault was in a block
+        assert [t for t in checked if isinstance(t, range)][-1] == range(
+            1 + block * per_block, 1 + (block + 1) * per_block)
