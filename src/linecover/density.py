@@ -207,6 +207,7 @@ class DensityField:
         a, b = (np.where(bent, d - 1.0, 0.0) for d in (d0, d1))
         self._cells = np.stack([a, a + b, newton_k]).reshape(3, -1)
         self._cell_list = self._cells.T.tolist()
+        self._optima = {}   # n -> the optimal positions of n agents, read-only
 
     # ------------------------------------------------------------------
     # evaluation
@@ -440,9 +441,14 @@ def optimal_configuration(field: DensityField, n: int) -> tuple[np.ndarray, floa
     """The unique configuration balancing all boundary-doubled mass gaps.
 
     Places agent j at F^{-1}(F(1) (2j - 1) / (2n)); its coverage
-    F(1) / (2n) is the best achievable by n agents.
+    F(1) / (2n) is the best achievable by n agents. The field remembers
+    the positions per n, so they come back read-only.
     """
-    positions = field.inverse_cdf(optimal_masses(field, n))
+    key = check_agent_count(n)
+    positions = field._optima.get(key)
+    if positions is None:
+        positions = field._optima[key] = field.inverse_cdf(optimal_masses(field, n))
+        positions.flags.writeable = False
     return positions, field.total_mass / (2.0 * n)
 
 

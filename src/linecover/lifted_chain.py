@@ -339,7 +339,9 @@ def movement_step(field: DensityField, state: DynamicState) -> DynamicState:
 def _move_rows(field: DensityField, state: DynamicState, j: int) -> DynamicState:
     """movement_step for agent j of every row of a batch state: the scalar
     move's floating-point operations, row by row, with one inverse_cdf and
-    one cdf call on the rows' masses."""
+    one cdf call on the rows' masses. The token column takes every row's
+    new position at once; only a row whose mover overtakes its right
+    neighbour pushes, alone, as the scalar move does."""
     n, z = state.n, state.z
     if state.movement_rule == "pair":
         target_mass = z[:, j - 1] + z[:, n + j - 1]
@@ -347,20 +349,23 @@ def _move_rows(field: DensityField, state: DynamicState, j: int) -> DynamicState
         target_mass = (z[:, n + j - 2] if j >= 2 else 0.0) + z[:, j - 1]
     x, y = state.positions, _carried_masses(field, state)
     lower, left = (x[:, j - 2], y[:, j - 2]) if j >= 2 else (0.0, 0.0)
-    m = left + target_mass
-    c = field.inverse_cdf(np.where(m < field.total_mass, m, field.total_mass))   # min(F(1), m)
+    # min(F(1), m), which a NaN m also leaves at F(1)
+    c = field.inverse_cdf(np.fmin(left + target_mass, field.total_mass))
     y_c = field.cdf(c)
-    guard = c < lower   # the scalar move's one-ulp guard, row by row
-    c, y_c = np.where(guard, lower, c)[:, None], np.where(guard, left, y_c)[:, None]
-    # each row's agents overtaken by c: the mover and a prefix of its ordered tail
-    over = x[:, j - 1:] < c
-    over[:, 0] = True
-    np.copyto(x[:, j - 1:], c, where=over)
-    np.copyto(y[:, j - 1:], y_c, where=over)
-    # c >= lower by the guard, and the tail keeps only agents at or above c:
-    # each row stays ordered if c <= 1, which NaN fails
-    if not (c <= 1.0).all():
-        raise NumericError(f"round {state.round_index}: agent positions left order or [0, 1]")
+    if j >= 2:   # the scalar move's one-ulp guard, row by row
+        guard = c < lower
+        if guard.any():
+            c, y_c = np.where(guard, lower, c), np.where(guard, left, y_c)
+    # c >= lower by the guard, so a row stays ordered if c <= its right neighbour
+    # (or 1), which NaN fails; a row that fails pushes the agents below c
+    over = ~(c <= (x[:, j] if j < n else 1.0))
+    x[:, j - 1], y[:, j - 1] = c, y_c
+    for i in over.nonzero()[0].tolist():
+        ci = float(c[i])
+        if not ci <= 1.0:
+            raise NumericError(f"round {state.round_index}: agent positions left order or [0, 1]")
+        pushed = j + int(x[i, j:].searchsorted(ci))
+        x[i, j:pushed], y[i, j:pushed] = ci, y_c[i]
     return state
 
 
@@ -444,7 +449,7 @@ def simulate_dynamic(field: DensityField, state: DynamicState, stop: StopRule, *
         return state.positions, state.masses
 
     return run_rounds(field, state.positions, _carried_masses(field, state), step, stop,
-                      t=state.round_index, zsum=lambda: state.zsum,
+                      t=state.round_index, conserved=lambda: state.z,
                       keep=lambda go: setattr(state, "z", state.z[go]), record=record,
                       sink=sink)
 

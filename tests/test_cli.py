@@ -871,6 +871,28 @@ def test_full_and_summary_runs_end_on_the_same_row(capsys, tmp_path, args):
     assert lines["summary"] == [lines["full"][0], lines["full"][-1]]
 
 
+def test_a_long_full_dynamic_trace_ends_on_the_summary_row(capsys, tmp_path):
+    # under full, most cells of a dynamic trace reuse the previous row's
+    # text, and the rows leave the loop block by block: 3000 rounds at
+    # n = 2000 must write 3001 data rows, the last byte-identical to the one
+    # data row the same run writes under summary
+    paths = {}
+    for record in ("full", "summary"):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--law", "dynamic", "--density", "quadratic", "--n", "2000",
+            "--max-rounds", "3000", "--record", record, "--out-dir", str(tmp_path),
+            "--prefix", f"long_{record}"])
+        assert code == 0, err
+        paths[record] = Path(json.loads(out)["trace_csv"])
+    summary = paths["summary"].read_bytes().splitlines(True)
+    lines, last = 0, b""
+    with open(paths["full"], "rb") as handle:   # about 120 MB: read a line at a time
+        for last in handle:
+            lines += 1
+    paths["full"].unlink()
+    assert lines == 3002 and len(summary) == 2 and summary[1] == last
+
+
 def test_one_process_reuses_its_parser(capsys, tmp_path):
     # the parser is built once per process: a malformed flag and another
     # command in between must leave a repeated simulate byte-identical

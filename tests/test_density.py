@@ -432,6 +432,24 @@ def test_optimal_configuration_rejects_zero_agents(uniform_field):
         optimal_configuration(uniform_field, 0)
 
 
+def test_optimal_configuration_is_remembered_per_n_and_read_only():
+    # each field keeps its optimum per n: a caller that tries to change one
+    # result cannot, and a copy it changes leaves the next result as it was
+    field = make_random_field(StreamRng(61))
+    fresh = field.inverse_cdf(density.optimal_masses(field, 7))
+    first, phi = optimal_configuration(field, 7)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+    mine = np.array(first)
+    mine[0] = 0.5
+    optimal_configuration(field, 8)   # another n in between, as churn alternates
+    again, phi_again = optimal_configuration(field, np.int64(7))
+    assert again is first and again.tobytes() == fresh.tobytes() and phi_again == phi
+    # the count is checked before the lookup: 7.0 is no agent count
+    with pytest.raises(DomainError, match="must be an integer"):
+        optimal_configuration(field, 7.0)
+
+
 def test_scale_equivariance_of_optimum():
     breakpoints, coefficients = random_field_spec(StreamRng(70))
     field = DensityField(breakpoints, coefficients)

@@ -26,7 +26,7 @@ from linecover import (
     simulate_dynamic,
     sweep,
 )
-from linecover.density import gap_vector, optimal_configuration
+from linecover.density import gap_vector, mass_gaps, optimal_configuration
 from linecover.lifted_chain import MOVEMENT_RULES, VARIANTS, step_round
 from linecover.trace import TraceRow, check_order, check_record
 
@@ -237,8 +237,9 @@ def test_dynamic_summary_stops_where_full_stops(kind, seed, n, data, variant, ru
        n=st.integers(3, 40), pick=st.integers(0, 200), persist=st.sampled_from([None, 2, 5]))
 def test_dynamic_summary_maps_its_entry_its_rounds_below_tol_and_its_final_round(
         kind, seed, n, pick, persist):
-    # the hook is the residual itself, so a round at or below tol is mapped
-    # and every other round but the entry and final ones settles unmapped
+    # the hook is the residual itself, so a round at or below tol is mapped,
+    # alone or in a block of rounds that cannot stop, and every other round
+    # but the entry and final ones settles unmapped
     field = resolve_density(kind)
     x0 = initial_positions("random", n, StreamRng(seed, n, 0), law="dynamic")
     free = run_one("dynamic", field, x0, StopRule(tol=None, max_rounds=200))
@@ -247,7 +248,8 @@ def test_dynamic_summary_maps_its_entry_its_rounds_below_tol_and_its_final_round
     full = run_one("dynamic", field, x0, stop)
     maps, real = [], linecover.trace.check_order
     with mock.patch.object(linecover.trace, "check_order",
-                           lambda x, t: maps.append(t) or real(x, t)):
+                           lambda x, t: maps.extend([t] if isinstance(t, int) else t)
+                           or real(x, t)):
         summary = run_one("dynamic", field, x0, stop, record="summary")
     assert stop_of(summary) == stop_of(full)
     assert same_row(summary.rows[-1], full.rows[-1])
@@ -342,28 +344,167 @@ def test_every_full_dynamic_row_equals_the_row_of_a_loop_that_maps_every_round(
     assert all(same_row(a, b) for a, b in zip(trace.rows, expected))
 
 
-@pytest.mark.parametrize("fault", ["nan", "swap", "nan z"])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_a_nan_position_inside_a_summary_block_names_its_round(monkeypatch, quadratic_field,
+                                                               runs):
+    # a NaN residual is not above tol, so its round is mapped, in a block as
+    # when it is judged alone: a NaN agent in round 7 of the first block of
+    # U - 1 = 11 rounds raises there, not at the run's end
+    n, bad, real = 12, 7, linecover.lifted_chain.step_round
+    saved = []
+
+    def faulty(field, state):
+        if saved:   # restore the round before the fault
+            state.positions[:] = saved.pop()
+        real(field, state)
+        if state.round_index == bad:
+            saved.append(state.positions.copy())
+            state.positions[..., n // 2] = np.nan
+        return state
+
+    monkeypatch.setattr(linecover.lifted_chain, "step_round", faulty)
+    starts = np.array([initial_positions("random", n, StreamRng(4, n, run), law="dynamic")
+                       for run in range(runs)])
+    state = initialize_state(quadratic_field, starts[0] if runs == 1 else starts)
+    with pytest.raises(NumericError, match=f"^round {bad}: agent positions left order"):
+        simulate_dynamic(quadratic_field, state, StopRule(tol=1e-300, max_rounds=100),
+                         record="summary")
+
+
+def reference_run(field, state, stop, record):
+    """The dynamic law's round loop, round by round, on ``state`` (one run or
+    a batch): every round checks each row's sum z and order, judges its
+    residual and keeps a row under ``full``, or at the row's stop; a row that
+    stops leaves the state unless every row stops. Gives each run's rows,
+    stop reason and settled round."""
+    batch, total = state.positions.ndim == 2, field.total_mass
+    persist = stop.persist or state.chain.big_u
+    xstar = optimal_configuration(field, state.n)[0]
+    linecover.lifted_chain._carried_masses(field, state)   # as the run maps them on entry
+    live = list(range(len(state.positions) if batch else 1))
+    t, settled = state.round_index, [state.round_index] * len(live)
+    rows, ends = [[] for _ in live], [None] * len(live)
+    for k in range(stop.max_rounds + 1):
+        now, stopped = t + k, []
+        x, y, z = ((state.positions, state.masses, state.z) if batch
+                   else (state.positions[None], state.masses[None], state.z[None]))
+        for slot, i in enumerate(live):
+            zsum = float(z[slot].sum())
+            assert abs(zsum - total) <= 1e-9 * max(1.0, total)
+            assert x[slot][0] >= 0.0 and x[slot][-1] <= 1.0 and (np.diff(x[slot]) >= 0.0).all()
+            residual = float(np.square(x[slot] - xstar).sum())
+            if stop.tol is None or not residual <= stop.tol:
+                settled[i] = now + 1
+            reason = ("tol" if now + 1 - settled[i] >= persist
+                      else "max_rounds" if k == stop.max_rounds else "")
+            if reason or record == "full":
+                rows[i].append(TraceRow(now, x[slot].copy(),
+                                        float(mass_gaps(y[slot], total).max()) / 2.0,
+                                        residual, zsum))
+            if reason:
+                ends[i] = (reason, settled[i])
+                stopped.append(slot)
+        if stopped:
+            go = [slot for slot in range(len(live)) if slot not in stopped]
+            if not go:
+                break
+            state.positions, state.masses, state.z = x[go], y[go], z[go]
+            live = [live[slot] for slot in go]
+        step_round(field, state)
+    return rows, ends
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), runs=st.sampled_from([1, 2, 5]),
+       data=st.data(), variant=st.sampled_from(VARIANTS), rule=st.sampled_from(MOVEMENT_RULES),
+       level=st.sampled_from(["above", "between", "below", None]), sink=st.booleans(),
+       churn=st.booleans())
+def test_a_block_judged_run_equals_a_round_by_round_loop(seed, n, runs, data, variant, rule,
+                                                         level, sink, churn):
+    # rounds that cannot stop are judged in blocks: every row, stop round,
+    # stop reason and settled round, and the state a churn resume reads, must
+    # be those of a loop that judges every round alone. One run takes either
+    # policy, with or without a sink; a batch records under summary
+    field = make_random_field(StreamRng(seed))
+    big_u = data.draw(st.integers(n, 2 * n), label="big_u")
+    record = data.draw(st.sampled_from(["full", "summary"]), label="record") if runs == 1 \
+        else "summary"
+    starts = np.array([initial_positions("random", n, StreamRng(seed, n, run), law="dynamic")
+                       for run in range(runs)])
+
+    def start():
+        state = initialize_state(field, starts[0] if runs == 1 else starts, big_u=big_u,
+                                 variant=variant, movement_rule=rule)
+        if churn and runs == 1:   # resumed after an agent joins and one leaves
+            events = StreamRng(seed, n, 1)
+            simulate_dynamic(field, state, StopRule(tol=None, max_rounds=1 + n // 2),
+                             record="summary")
+            add_agent(state, events.uniform())
+            remove_agent(state, events.randint(1, state.n))
+        return state
+
+    per_block = -(-linecover.trace._BLOCK_MASSES // n)
+    # up to three blocks of a run without tol, ending anywhere in one
+    max_rounds = min(data.draw(st.integers(0, 2), label="blocks") * per_block
+                     + data.draw(st.integers(1, per_block + 2), label="rounds"), 400)
+    free, _ = reference_run(field, start(), StopRule(tol=None, max_rounds=max_rounds), "full")
+    residuals = sorted(row.residual_sq for run in free for row in run)
+    # a tol above every residual, just under a drawn one, below all, or none
+    tol = {"above": 2.0 * residuals[-1] + 1e-300, "below": residuals[0] / 2.0,
+           "between": float(np.nextafter(data.draw(st.sampled_from(residuals), label="pick"),
+                                         0.0)), None: None}[level]
+    tol = None if tol is None else max(tol, 1e-300)
+    persist = data.draw(st.one_of(st.none(), st.integers(1, big_u)), label="persist")
+    stop = StopRule(tol=tol, max_rounds=max_rounds, persist=persist)
+
+    state, taken = start(), []
+    keep = (lambda rows: taken.extend(TraceRow(row.t, row.positions.copy(), row.phi,
+                                               row.residual_sq, row.zsum) for row in rows))
+    traces = simulate_dynamic(field, state, stop, record=record,
+                              sink=keep if sink and runs == 1 else None)
+    traces = [traces] if runs == 1 else traces
+    reference = start()
+    rows, ends = reference_run(field, reference, stop, record)
+    assert [(trace.stop_reason, trace.settled_round) for trace in traces] == ends
+    if sink and runs == 1:
+        assert len(taken) == len(rows[0]) and all(map(same_row, taken, rows[0]))
+        assert len(traces[0].rows) == 1 and same_row(traces[0].rows[0], rows[0][-1])
+    else:
+        for trace, want in zip(traces, rows):
+            assert len(trace.rows) == len(want) and all(map(same_row, trace.rows, want))
+    # what a churn resume reads
+    assert state.round_index == reference.round_index
+    for name in ("z", "positions", "masses"):
+        assert getattr(state, name).tobytes() == getattr(reference, name).tobytes()
+
+
+@pytest.mark.parametrize("fault", ["nan", "swap", "nan z", "move", "nan z, then move",
+                                   "swap, then move"])
 @pytest.mark.parametrize("n, block, row", [(12, 0, 0), (12, 0, 100), (12, 1, 170),
                                            (80, 2, 25), (80, 0, 13)])
 def test_a_fault_inside_a_dynamic_block_names_its_round(monkeypatch, quadratic_field, fault, n,
                                                         block, row):
-    # positions that are NaN or out of order in one round of a block are an
-    # internal fault, named by that round; a run without tol settles every
-    # round but its entry and final ones unmapped, in blocks of
-    # ceil(2048 / n) rounds from round 1. The fault is undone a round later,
-    # so no later move can see it first. A NaN in z fails at its own round
+    # positions that are NaN or out of order in one round of a block, a NaN
+    # in its z, or a move that raises, are an internal fault named by that
+    # round; a run without tol steps every round but its entry and final
+    # ones in blocks of ceil(2048 / n) rounds from round 1. The fault is
+    # undone a round later, so no later move can see it first. A move that
+    # raises two rounds after a fault leaves the earlier fault to raise
     per_block = -(-linecover.trace._BLOCK_MASSES // n)
-    bad = 1 + block * per_block + row
+    bad, start = 1 + block * per_block + row, 1 + block * per_block   # start: its block's
+    moves = {"move": bad}.get(fault, bad + 2 if fault.endswith("then move") else None)
     real, checked, saved = linecover.lifted_chain.step_round, [], []
 
     def faulty(field, state):
         if saved:   # restore the round before the fault
             state.positions[:], state.masses[:] = saved.pop()
         real(field, state)
-        if state.round_index == bad:
+        if state.round_index == moves:
+            raise NumericError(f"round {moves}: the move failed")
+        if state.round_index == bad and fault != "move":
             x = state.positions
             saved.append((x.copy(), state.masses.copy()))
-            if fault == "swap":
+            if fault.startswith("swap"):
                 x[[0, -1]] = x[[-1, 0]]
             elif fault == "nan":
                 x[n // 2] = np.nan
@@ -377,12 +518,13 @@ def test_a_fault_inside_a_dynamic_block_names_its_round(monkeypatch, quadratic_f
                         lambda x, t: checked.append(t) or real_check(x, t))
     state = initialize_state(quadratic_field, initial_positions("random", n, StreamRng(4, n, 0),
                                                                 law="dynamic"))
-    what = "mass conservation drifted" if fault == "nan z" else "agent positions left order"
+    what = {"nan z": "mass conservation drifted", "move": "the move failed"}.get(
+        fault.split(",")[0], "agent positions left order")
     with pytest.raises(NumericError, match=f"^round {bad}: {what}"):
         simulate_dynamic(quadratic_field, state, StopRule(tol=None, max_rounds=3 * per_block + 1))
-    if fault == "nan z":   # before its block was recorded
-        assert checked == [0] + [range(1 + b * per_block, 1 + (b + 1) * per_block)
-                                 for b in range(block)]
-    else:   # the fault was in a block
-        assert [t for t in checked if isinstance(t, range)][-1] == range(
-            1 + block * per_block, 1 + (block + 1) * per_block)
+    earlier = [0] + [range(1 + b * per_block, 1 + (b + 1) * per_block) for b in range(block)]
+    if fault.startswith(("nan z", "move")):   # the order of the rounds before it, no later one
+        assert checked == earlier + ([range(start, bad)] if bad > start else [])
+    else:   # its block's, up to the block's end or the failed move's round (then row by row)
+        assert [t for t in checked if isinstance(t, range)] == earlier[1:] + [
+            range(start, min(start + per_block, moves or bad + per_block))]
